@@ -233,17 +233,27 @@ def run(cell, seed: int, seconds: float, tracer=None) -> Result:
         failed=sum(p["failed"] for p in passes) + lost + regressions)
     res.metric("setup_s", median([p["setup_s"] for p in passes]), "s",
                len(passes))
-    res.metric("classify_p50_ms", pct(lat, 50), "ms", lat.size)
+    # The stream's latency is a two-mode mixture: requests that find
+    # the interpreter free are answered in about a millisecond, those
+    # that arrive while the main thread holds it wait for a switch.
+    # The median sits on the steep slope between the modes and jumps
+    # from run to run, so the figure is the mean, which moves smoothly
+    # with the share and the length of the waits.
+    res.metric("classify_ms", float(np.mean(lat)), "ms", lat.size)
+    # All windows' tasks over all windows' time: a ratio of sums, not a
+    # median of per-pass rates, which jumps between the host's slow and
+    # fast spells.
     res.metric("tasks_per_s",
-               median([p["window_tasks"] / p["window_s"] for p in passes]),
+               window_tasks / sum(p["window_s"] for p in passes),
                "tasks/s", len(passes))
     res.metric("accuracy",
                sum(p["correct"] for p in passes) / window_tasks,
                "fraction", window_tasks)
     res.metric("peak_rss_mb", proc_status_kib("self", "VmHWM") / 1024,
                "MiB", 1)
-    res.note(f"classify latency is the concurrent {STREAM_RATE:,.0f}/s "
-             f"stream from due time, pooled over {len(passes)} passes")
+    res.note(f"classify latency is the mean of the concurrent "
+             f"{STREAM_RATE:,.0f}/s stream from due time, pooled over "
+             f"{len(passes)} passes; its p50 is {pct(lat, 50):.3f} ms")
     res.note(f"adapt_p50_s = {median(adapt):.4f} s (first observe() of a "
              f"window -> train_once() published; n={len(adapt)})")
     res.note(f"growing.epochs per pass: {sorted(epochs)} "

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The repository benchmark: one command, three workloads.
+"""The repository benchmark: one command, two workloads.
 
-    python3 perfbench/run.py --workload <wire-single|inproc-batch|learn-stream>
+    python3 perfbench/run.py --workload <wire-single|learn-stream>
                              --seed <n> --seconds <s> --trace <0|1>
 
 Run it from the repository root.  Every workload replays the same
@@ -47,7 +47,7 @@ if os.environ.get("PYTHONHASHSEED") != "0":
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-WORKLOADS = ("wire-single", "inproc-batch", "learn-stream")
+WORKLOADS = ("wire-single", "learn-stream")
 
 #: The metric lists (names, units, better direction) live in
 #: BENCHMARK.json at the repository root, the benchmark's contract.
@@ -116,8 +116,6 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool):
     WORK_DIR.mkdir(exist_ok=True)
     if name == "wire-single":
         import wire as module
-    elif name == "inproc-batch":
-        import inproc as module
     else:
         import learn as module
     cell = generate_trace()
@@ -195,7 +193,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)

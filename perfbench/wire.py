@@ -6,10 +6,10 @@ The server is booted the way a deployment runs it —
 — so its heap and threads are exactly the shipped ones.  This process
 sends an open-loop Poisson stream over 2 keep-alive connections and
 times each request from when it was *due*.  Two phases: a fixed rate of
-250 req/s, then a capacity search that bisects the offered rate for the
-highest one whose p99 stays within 50 ms (the repository's overload
-budget) — a growing backlog fails a probe, because requests that fall
-behind their schedule miss the limit.
+250 req/s, then a capacity search: an up-down staircase of short probes
+that tracks the offered rate at which the p99 stays within 50 ms (the
+repository's overload budget) — a growing backlog fails a probe,
+because requests that fall behind their schedule miss the limit.
 
 The HTTP layer, task decode and the 500 µs batching window dominate
 here; encoding and inference are a few percent, so this workload is the
@@ -21,7 +21,6 @@ from __future__ import annotations
 import gc
 import itertools
 import json
-import math
 import os
 import shutil
 import signal
@@ -40,18 +39,27 @@ from result import Result
 FIXED_RATE = 250.0
 LIMIT_MS = 50.0
 CONNECTIONS = 2
-#: Capacity bisection: the bracket runs from the fixed rate (which the
-#: fixed phase has just measured) to HEADROOM × the closed-loop ceiling
-#: of the connections at the fixed phase's mean round trip.  Round trips
-#: shorten somewhat under load (two requests share a batching window),
-#: so the headroom is wide enough that no run sustains the top rate.
-HEADROOM = 2.0
-PROBES = 5
 #: Share of the run spent at the fixed rate; the rest is the search.
-FIXED_SHARE = 0.5
-#: A phase's p99 is the median over this many equal slices (in due
+#: The fixed phase is cut into equal segments, one before each probe,
+#: so both phases sample the whole run rather than one stretch of it.
+FIXED_SHARE = 0.2
+#: Capacity staircase: probes of PROBE_S seconds, the first at the
+#: closed-loop ceiling of the connections at the first fixed segment's
+#: mean round trip.  The rate goes up by a step after a probe that meets
+#: the limit and down by it after one that misses, so it tracks the
+#: rate at which a probe meets the limit half the time: COARSE_STEP
+#: until the first probe on the other side of the limit, FINE_STEP
+#: after.  The step stays fixed from then on, so the search follows a
+#: shift in the host's speed within a few probes.  The capacity is the
+#: geometric mean of the rates probed from the first crossing on, so it
+#: averages over most of the search rather than hanging on its last
+#: probe.
+PROBE_S = 2.0
+MIN_PROBES = 4
+COARSE_STEP = 1.1
+FINE_STEP = 1.05
+#: A probe's p99 is the median over this many equal slices (in due
 #: order), so one stall of the shared host does not decide a probe.
-FIXED_WINDOWS = 5
 PROBE_WINDOWS = 4
 #: Server boots per run; ``setup_s`` is their median.
 BOOTS = 3
@@ -297,33 +305,35 @@ def _probe_score(phase: _Phase) -> float:
                pct(last, 50))
 
 
-def _capacity(port, bodies, n_tasks, rng, fixed: _Phase, score_at_lo: float,
-              probe_s: float, rid_base: int, phases: list) -> tuple:
-    """Bisect (geometrically) for the highest rate whose probe score is
-    within LIMIT_MS, then interpolate the crossing between the last
-    passing and the last failing probe in log-log space."""
+def _measure(port, bodies, n_tasks, rng, seconds: float) -> tuple:
+    """Alternate fixed-rate segments with staircase probes for
+    ``seconds``; return the fixed segments and the probes (each a list
+    of ``(picks, phase)``), the capacity and how many probes it
+    averages."""
 
-    ceiling = CONNECTIONS * 1e6 / float(np.nanmean(fixed.rtt_us))
-    lo, hi = FIXED_RATE, max(2 * FIXED_RATE, HEADROOM * ceiling)
-    s_lo, s_hi = score_at_lo, None
-    if s_lo > LIMIT_MS:
-        lo, hi, s_lo, s_hi = FIXED_RATE / 8, FIXED_RATE, None, s_lo
-    for k in range(PROBES):
-        rate = math.sqrt(lo * hi)
-        offsets, picks = _schedule(rng, rate, probe_s, n_tasks)
-        phase = _open_loop(port, bodies, picks, offsets, probe_s, rate,
-                           rid_base + k * 1_000_000)
-        phases.append((picks, phase))
-        score = _probe_score(phase)
-        if score <= LIMIT_MS:
-            lo, s_lo = rate, score
-        else:
-            hi, s_hi = rate, score
-    if s_lo is None or s_hi is None:
-        return lo, lo, hi
-    share = (math.log(LIMIT_MS) - math.log(s_lo)) / (
-        math.log(s_hi) - math.log(s_lo))
-    return lo * (hi / lo) ** min(1.0, max(0.0, share)), lo, hi
+    n = max(MIN_PROBES, round(seconds * (1 - FIXED_SHARE) / PROBE_S))
+    segment_s = seconds * FIXED_SHARE / n
+    fixed, probes = [], []
+    rate, rates, passed = None, [], []
+    for k in range(n):
+        offsets, picks = _schedule(rng, FIXED_RATE, segment_s, n_tasks)
+        fixed.append((picks, _open_loop(port, bodies, picks, offsets,
+                                        segment_s, FIXED_RATE,
+                                        1 + k * 1_000_000)))
+        if rate is None:
+            rate = CONNECTIONS * 1e6 / float(np.nanmean(fixed[0][1].rtt_us))
+        offsets, picks = _schedule(rng, rate, PROBE_S, n_tasks)
+        phase = _open_loop(port, bodies, picks, offsets, PROBE_S, rate,
+                           100_000_000 + k * 1_000_000)
+        probes.append((picks, phase))
+        rates.append(rate)
+        passed.append(_probe_score(phase) <= LIMIT_MS)
+        step = FINE_STEP if len(set(passed)) == 2 else COARSE_STEP
+        rate = rate * step if passed[-1] else rate / step
+    crossed = len(set(passed)) == 2
+    tracked = rates[passed.index(not passed[0]) if crossed else n // 2:]
+    return (fixed, probes, float(np.exp(np.mean(np.log(tracked)))),
+            len(tracked))
 
 
 def run(cell, seed: int, seconds: float, tracer=None,
@@ -361,20 +371,11 @@ def run(cell, seed: int, seconds: float, tracer=None,
         # each other quickly, so one parsing a reply does not hold the
         # other's reply for a whole default 5 ms switch interval.
         sys.setswitchinterval(SENDER_SWITCH_S)
-        rng = np.random.default_rng(seed)
-        fixed_s = seconds * FIXED_SHARE
-        probe_s = seconds * (1 - FIXED_SHARE) / PROBES
         cpu0 = proc_cpu_s(server.pid)
         measure_start = time.perf_counter_ns()
-        offsets, picks = _schedule(rng, FIXED_RATE, fixed_s,
-                                   len(result.tasks))
-        fixed = _open_loop(server.port, bodies, picks, offsets, fixed_s,
-                           FIXED_RATE, 1)
-        phases = [(picks, fixed)]
-        capacity, lo, hi = _capacity(
-            server.port, bodies, len(result.tasks), rng, fixed,
-            median(_slice_pcts(fixed, FIXED_WINDOWS, 99)), probe_s,
-            10_000_000, phases)
+        fixed, probes, capacity, tracked = _measure(
+            server.port, bodies, len(result.tasks),
+            np.random.default_rng(seed), seconds)
         measure_end = time.perf_counter_ns()
         cpu = proc_cpu_s(server.pid) - cpu0
         peak_kib = proc_status_kib(server.pid, "VmHWM")
@@ -385,32 +386,36 @@ def run(cell, seed: int, seconds: float, tracer=None,
             server.stop()
         shutil.rmtree(archive, ignore_errors=True)
 
-    sent_idx = np.concatenate([p[0][p[1].sent] for p in phases])
-    status = np.concatenate([p[1].status[p[1].sent] for p in phases])
-    groups = np.concatenate([p[1].group[p[1].sent] for p in phases])
-    versions = np.concatenate([p[1].version[p[1].sent] for p in phases])
-    wrong = oracle.wrong(sent_idx, groups, versions)
-    ok_fixed = fixed.sent & (fixed.status == 200)
-    fixed_idx = phases[0][0]
-    lat = fixed.lat_ms[fixed.sent]
+    phases = fixed + probes
+
+    def sent(field, group=phases):
+        return np.concatenate([getattr(p, field)[p.sent] for _i, p in group])
+
+    sent_idx = np.concatenate([i[p.sent] for i, p in phases])
+    wrong = oracle.wrong(sent_idx, sent("group"), sent("version"))
+    fixed_idx = np.concatenate([i[p.sent] for i, p in fixed])
+    fixed_group = sent("group", fixed)
+    ok_fixed = sent("status", fixed) == 200
+    lat = sent("lat_ms", fixed)
     res = Result(attempted=int(sent_idx.size), failed=int(wrong.sum()))
     res.metric("setup_s", median(setups), "s", len(setups))
-    res.metric("classify_p50_ms", pct(lat, 50), "ms", lat.size)
-    res.metric("tasks_per_s", capacity, "tasks/s", PROBES)
+    res.metric("classify_ms", pct(lat, 50), "ms", lat.size)
+    res.metric("tasks_per_s", capacity, "tasks/s", tracked)
     res.metric("accuracy",
-               float(np.mean(fixed.group[ok_fixed] == labels[fixed_idx][
-                   ok_fixed])), "fraction", int(ok_fixed.sum()))
+               float(np.mean(fixed_group[ok_fixed]
+                             == labels[fixed_idx][ok_fixed])),
+               "fraction", int(ok_fixed.sum()))
     res.metric("peak_rss_mb", peak_kib / 1024, "MiB", 1)
-    probes = ", ".join(f"{phase.rate:.0f}/s: {_probe_score(phase):.1f} ms"
-                       for _picks, phase in phases[1:])
-    res.note(f"classify latency per request from due time at "
-             f"{FIXED_RATE:.0f}/s; {fixed.sent.sum()} of {fixed.sent.size} "
-             f"sent")
+    scores = ", ".join(f"{phase.rate:.0f}/s: {_probe_score(phase):.1f} ms"
+                       for _picks, phase in probes)
+    res.note(f"classify latency is the p50 per request from due time at "
+             f"{FIXED_RATE:.0f}/s over {len(fixed)} segments; {lat.size} of "
+             f"{sum(p.sent.size for _i, p in fixed)} sent")
     res.note(f"capacity_rps = {capacity:.1f} (p99 <= {LIMIT_MS:g} ms, no "
-             f"growing backlog; bracket {lo:.0f}..{hi:.0f}); probe scores: "
-             f"{probes}")
-    lag = np.concatenate([p[1].lag_ms[p[1].sent] for p in phases])
-    res.layer["http.non200"] = int((status != 200).sum())
+             f"growing backlog; geometric mean of the last {tracked} of "
+             f"{len(probes)} probes); probe scores: {scores}")
+    lag = sent("lag_ms")
+    res.layer["http.non200"] = int((sent("status") != 200).sum())
     res.layer["runtime.cpu_s"] = cpu
     res.layer["loadgen.sent"] = int(sent_idx.size)
     res.layer["loadgen.lag_p99_ms"] = pct(lag, 99)
