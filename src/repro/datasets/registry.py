@@ -97,7 +97,7 @@ class FeatureRegistry:
         values: list[str] = []
         if spec.has_equal and spec.equal is not None:
             values.append(spec.equal)
-        values.extend(spec.not_in)
+        values.extend(sorted(spec.not_in))
         if spec.lo is not None:
             values.append(str(spec.lo))
         if spec.hi is not None:

@@ -3,9 +3,11 @@
 The Task CO Analyzer is pitched as a component on the scheduler's
 task-arrival path; this module gives the in-process serving stack a real
 network boundary so something that is *not* a Python caller can submit
-tasks and observe the service.  :func:`create_app` builds a Flask app
+tasks and observe the service.  :func:`create_app` builds one WSGI app
 over either a single :class:`~repro.serve.ClassificationService` or a
-multi-cell :class:`~repro.serve.CellRouter`:
+multi-cell :class:`~repro.serve.CellRouter`.  Every request is looked
+up in one ``(method, path)`` dispatch table (unknown path → JSON 404,
+known path under another method → JSON 405):
 
 ========  ============  ====================================================
 method    path          purpose
@@ -35,25 +37,16 @@ successes carry the single-task response shape, per-task failures are
 per-item 400; a shed batch is a whole-body 429 — admission prices the
 batch as a unit and never partially admits a wire body).
 
-The serving hot path does not pay Flask routing:
-:class:`HttpIngress` wraps the app in a thin WSGI dispatcher
-(:class:`_ClassifyFastPath`) that matches ``POST /classify`` before
-Flask sees the request, reads the JSON straight off ``wsgi.input``,
-and reuses the same typed-error→status mapping; Flask keeps the
-telemetry/health plane.  ``n_listeners > 1`` runs that WSGI app on
-several threaded servers bound to ``SO_REUSEPORT`` sockets sharing one
-port — the kernel balances connections across listeners, all backed by
-the same serving stack.
-
-:class:`HttpIngress` uses threaded
-:func:`werkzeug.serving.make_server` servers (HTTP/1.1, so
-load-generator connections keep alive) with ``port=0`` ephemeral-port
-support for tests.  The server threads share the process with the
-serving stack — the ingress is a boundary, not an isolation layer.
+:class:`HttpIngress` serves the app from stdlib
+:class:`~http.server.ThreadingHTTPServer` with an HTTP/1.1 keep-alive
+handler, one server per pre-bound listener socket.  The server threads
+share the process with the serving stack — the ingress is a boundary,
+not an isolation layer.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -61,6 +54,8 @@ import socket
 import threading
 import time
 from http.client import responses as _HTTP_REASONS
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socketserver import BaseServer
 from typing import TYPE_CHECKING
 
 from ..constraints.compaction import CompactedTask
@@ -92,6 +87,11 @@ _MAX_TIMEOUT_S = 60.0
 #: one request can pin and keeps a single body within one admission
 #: decision's meaningful range.
 _MAX_BATCH_TASKS = 4096
+#: Largest request body the ingress reads; a batch of ``_MAX_BATCH_TASKS``
+#: tasks is a few MiB.
+_MAX_BODY_BYTES = 64 << 20
+_JSON = "application/json"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Target:
@@ -153,10 +153,6 @@ class _BadRequest(ValueError):
     """Maps to a 400 with the message as the error body."""
 
 
-# ----------------------------------------------------------------------
-# the /classify core — shared by the Flask route and the WSGI fast path
-# ----------------------------------------------------------------------
-
 def _parse_cell(payload) -> str | None:
     cell = payload.get("cell")
     if cell is not None and not isinstance(cell, str):
@@ -186,26 +182,19 @@ def _typed_error(exc) -> tuple[int, dict, dict]:
         return 400, {"error": str(exc)}, {}
     if isinstance(exc, UnknownCellError):
         return 404, {"error": str(exc)}, {}
-    if isinstance(exc, OverloadedError):
+    if isinstance(exc, (OverloadedError, CircuitOpenError)):
+        # A tripped cell is *unavailable*, not overloaded: 503 so
+        # balancers and retry policies treat it as a sick backend.
+        status = 429 if isinstance(exc, OverloadedError) else 503
         headers = {}
         if exc.retry_after_s is not None:
             # RFC 9110 Retry-After is delta-seconds (an integer); keep
             # the precise value in the JSON body.
             headers["Retry-After"] = str(
                 max(1, int(round(exc.retry_after_s))))
-        return 429, {"error": str(exc), "reason": exc.reason,
-                     "cell": exc.cell,
-                     "retry_after_s": exc.retry_after_s}, headers
-    if isinstance(exc, CircuitOpenError):
-        # A tripped cell is *unavailable*, not overloaded: 503 so
-        # balancers and retry policies treat it as a sick backend.
-        headers = {}
-        if exc.retry_after_s is not None:
-            headers["Retry-After"] = str(
-                max(1, int(round(exc.retry_after_s))))
-        return 503, {"error": str(exc), "reason": exc.reason,
-                     "cell": exc.cell,
-                     "retry_after_s": exc.retry_after_s}, headers
+        return status, {"error": str(exc), "reason": exc.reason,
+                        "cell": exc.cell,
+                        "retry_after_s": exc.retry_after_s}, headers
     if isinstance(exc, (ServiceClosedError, NotServingError)):
         return 503, {"error": str(exc)}, {}
     raise exc
@@ -295,167 +284,123 @@ def _classify_batch(backend: _Target, payload: dict
             continue
         status, body, _headers = _request_entry(request)
         if status != 200:
-            body = dict(body)
             body["status"] = status
         entries[i] = body
     return 200, {"results": entries}, {}
 
 
-def _classify_payload(backend: _Target, payload: dict
-                      ) -> tuple[int, dict, dict]:
-    """Dispatch one ``/classify`` JSON body (single- or batched-task).
-
-    Returns ``(status, body, extra_headers)``; every typed serving
-    error is mapped here so the Flask route and the WSGI fast path
-    share one contract.
-    """
-
+def _json_body(environ) -> dict:
     try:
-        if "tasks" in payload:
-            if "task" in payload:
-                raise _BadRequest("give either 'task' or 'tasks', "
-                                  "not both")
-            return _classify_batch(backend, payload)
-        return _classify_single(backend, payload)
-    except _TYPED_ERRORS as exc:
-        return _typed_error(exc)
-    except Exception:  # noqa: BLE001 — the wire must answer, not raise
-        logger.exception("unhandled error on /classify")
-        return 500, {"error": "classification failed"}, {}
+        length = int(environ.get("CONTENT_LENGTH", ""))
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest("request needs a valid Content-Length")
+    try:
+        payload = json.loads(environ["wsgi.input"].read(length))
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        raise _BadRequest("request body must be a JSON object")
+    return payload
 
 
-class _ClassifyFastPath:
-    """WSGI dispatcher: ``POST /classify`` before Flask routing.
+class _App:
+    """The WSGI app: one ``(method, path)`` table of handlers.
 
-    The hot endpoint skips Flask's url-map match, request-context push,
-    and response machinery — the body is ``json.loads``-ed straight off
-    ``wsgi.input`` and the reply is one pre-encoded JSON write.  Every
-    other route falls through to the wrapped Flask app (telemetry and
-    health stay on the framework where convenience beats microseconds).
+    A handler takes the WSGI environ and returns ``(status, body,
+    extra_headers)``: a dict body goes out as JSON, bytes as they are
+    (the handler names their Content-Type), ``None`` as no body.
     """
 
-    def __init__(self, app, backend: _Target):
-        self.app = app
-        self.backend = backend
+    def __init__(self, target, staleness_budget_s: float | None):
+        self.backend = _Target(target)
+        self.staleness_budget_s = staleness_budget_s
+        self.routes = {
+            ("POST", "/classify"): self._classify,
+            ("POST", "/observe"): self._observe,
+            ("POST", "/audit"): self._audit,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/stats"): self._stats,
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/cells"): self._cells,
+        }
+        self._allowed: dict[str, list[str]] = {}
+        for method, path in self.routes:
+            self._allowed.setdefault(path, []).append(method)
 
     def __call__(self, environ, start_response):
-        if (environ.get("PATH_INFO") != "/classify"
-                or environ.get("REQUEST_METHOD") != "POST"):
-            return self.app(environ, start_response)
+        method = environ.get("REQUEST_METHOD", "")
+        path = environ.get("PATH_INFO", "")
+        handler = self.routes.get((method, path))
         try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except (TypeError, ValueError):
-            length = 0
-        raw = environ["wsgi.input"].read(length) if length > 0 else b""
-        try:
-            payload = json.loads(raw)
-        except ValueError:
-            payload = None
-        if not isinstance(payload, dict):
-            status, body, headers = (
-                400, {"error": "request body must be a JSON object"}, {})
-        else:
-            status, body, headers = _classify_payload(self.backend,
-                                                      payload)
-        data = json.dumps(body).encode()
-        response_headers = [("Content-Type", "application/json"),
-                            ("Content-Length", str(len(data)))]
+            if handler is not None:
+                status, body, headers = handler(environ)
+            elif path in self._allowed:
+                status, body, headers = (
+                    405, {"error": f"{method} not allowed on {path}"},
+                    {"Allow": ", ".join(self._allowed[path])})
+            else:
+                status, body, headers = 404, {"error": f"no route for "
+                                                       f"{path}"}, {}
+        except _TYPED_ERRORS as exc:
+            status, body, headers = _typed_error(exc)
+        except Exception:  # noqa: BLE001 — the wire must answer, not raise
+            logger.exception("unhandled error on %s %s", method, path)
+            status, body, headers = 500, {"error": "internal error"}, {}
+        response_headers = []
+        if isinstance(body, dict):
+            body = json.dumps(body).encode()
+            response_headers.append(("Content-Type", _JSON))
+        if body is not None:
+            response_headers.append(("Content-Length", str(len(body))))
         response_headers.extend(headers.items())
-        reason = _HTTP_REASONS.get(status, "")
-        start_response(f"{status} {reason}", response_headers)
-        return [data]
-
-
-def create_app(target, staleness_budget_s: float | None = None):
-    """Build the Flask app over ``target`` (service or router).
-
-    ``staleness_budget_s`` arms the ``/healthz`` freshness check: a cell
-    whose served model is older than the budget flips the probe to 503
-    (the continuous-retraining loop has stalled even if its thread is
-    technically alive).  ``None`` disables the check.
-    """
-
-    from flask import Flask, jsonify, request  # deferred: serving-only dep
-
-    app = Flask("repro.serve")
-    backend = _Target(target)
-    app.config["REPRO_TARGET"] = backend
-    app.config["REPRO_STALENESS_BUDGET_S"] = staleness_budget_s
-
-    def _error(status: int, message: str, **extra):
-        payload = {"error": message, **extra}
-        return jsonify(payload), status
-
-    def _typed_error_response(exc):
-        status, body, headers = _typed_error(exc)
-        response = app.make_response((jsonify(body), status))
-        for key, value in headers.items():
-            response.headers[key] = value
-        return response
-
-    @app.errorhandler(_BadRequest)
-    @app.errorhandler(UnknownCellError)
-    @app.errorhandler(OverloadedError)
-    @app.errorhandler(CircuitOpenError)
-    @app.errorhandler(ServiceClosedError)
-    @app.errorhandler(NotServingError)
-    def _typed(exc):
-        return _typed_error_response(exc)
-
-    def _json_body() -> dict:
-        payload = request.get_json(silent=True)
-        if not isinstance(payload, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return payload
+        start_response(f"{status} {_HTTP_REASONS.get(status, '')}",
+                       response_headers)
+        return [] if body is None else [body]
 
     # ------------------------------------------------------------------
     # serving path
     # ------------------------------------------------------------------
-    @app.post("/classify")
-    def classify():
-        # Same core as the WSGI fast path — the Flask route exists for
-        # test clients and for apps mounted without the ingress wrapper.
-        status, body, headers = _classify_payload(backend, _json_body())
-        response = app.make_response((jsonify(body), status))
-        for key, value in headers.items():
-            response.headers[key] = value
-        return response
+    def _classify(self, environ):
+        payload = _json_body(environ)
+        if "tasks" in payload:
+            if "task" in payload:
+                raise _BadRequest("give either 'task' or 'tasks', not both")
+            return _classify_batch(self.backend, payload)
+        return _classify_single(self.backend, payload)
 
-    @app.post("/observe")
-    def observe():
-        payload = _json_body()
+    def _observe(self, environ):
+        payload = _json_body(environ)
         task = _parse_task(payload.get("task"))
         group = payload.get("group")
         if isinstance(group, bool) or not isinstance(group, int):
             raise _BadRequest("'group' must be an integer label")
-        service = backend.service(_parse_cell(payload))
-        service.observe(task, group)
-        return "", 204
+        self.backend.service(_parse_cell(payload)).observe(task, group)
+        return 204, None, {}
 
-    @app.post("/audit")
-    def audit():
+    def _audit(self, environ):
         """Re-classify under the exact model version that served a
         request — the load generator's wire-level misroute audit."""
 
-        payload = _json_body()
+        payload = _json_body(environ)
         task = _parse_task(payload.get("task"))
         version = payload.get("version")
         if isinstance(version, bool) or not isinstance(version, int):
             raise _BadRequest("'version' must be an integer")
         cell = _parse_cell(payload)
-        service = backend.service(cell)
         try:
-            group = service.audit_classify(task, version)
+            group = self.backend.service(cell).audit_classify(task, version)
         except KeyError as exc:
-            return _error(410, f"model version unavailable: {exc}")
-        return jsonify({"group": group, "model_version": version,
-                        "cell": cell or DEFAULT_CELL})
+            return 410, {"error": f"model version unavailable: {exc}"}, {}
+        return 200, {"group": group, "model_version": version,
+                     "cell": cell or DEFAULT_CELL}, {}
 
     # ------------------------------------------------------------------
     # telemetry plane
     # ------------------------------------------------------------------
-    def _per_cell():
-        services = backend.services()
+    def _per_cell(self):
+        services = self.backend.services()
         stats = {cell: service.stats().to_dict()
                  for cell, service in services.items()}
         admission = {cell: service.admission.snapshot()
@@ -463,22 +408,19 @@ def create_app(target, staleness_budget_s: float | None = None):
                      if service.admission is not None}
         return services, stats, admission
 
-    @app.get("/metrics")
-    def metrics():
-        services, stats, admission = _per_cell()
+    def _metrics(self, environ):
+        services, stats, admission = self._per_cell()
         text = render_prometheus(
             stats, admission=admission,
             stages={cell: service.telemetry.stage_snapshots()
                     for cell, service in services.items()},
             events={cell: service.telemetry.events
                     for cell, service in services.items()})
-        return app.response_class(
-            text, mimetype="text/plain; version=0.0.4; charset=utf-8")
+        return 200, text.encode(), {"Content-Type": _PROMETHEUS}
 
-    @app.get("/stats")
-    def stats():
-        services, stats, admission = _per_cell()
-        return jsonify({
+    def _stats(self, environ):
+        services, stats, admission = self._per_cell()
+        return 200, {
             "cells": {
                 cell: {
                     "stats": stats[cell],
@@ -487,11 +429,10 @@ def create_app(target, staleness_budget_s: float | None = None):
                 }
                 for cell, service in services.items()
             },
-        })
+        }, {}
 
-    @app.get("/healthz")
-    def healthz():
-        budget = app.config["REPRO_STALENESS_BUDGET_S"]
+    def _healthz(self, environ):
+        budget = self.staleness_budget_s
         checks = []
 
         def check(cell, name, ok, **detail):
@@ -499,7 +440,7 @@ def create_app(target, staleness_budget_s: float | None = None):
                            **detail})
 
         restored = 0
-        for cell, service in backend.services().items():
+        for cell, service in self.backend.services().items():
             cell_stats = service.stats()
             restored = max(restored, cell_stats.restored_version)
             check(cell, "published", cell_stats.has_published,
@@ -536,33 +477,118 @@ def create_app(target, staleness_budget_s: float | None = None):
                       pending=cell_stats.pending,
                       max_queue=admission.max_queue)
         healthy = all(c["ok"] for c in checks)
-        body = jsonify({"status": "ok" if healthy else "unhealthy",
-                        "restored_version": restored,
-                        "checks": checks})
-        return body, (200 if healthy else 503)
+        return (200 if healthy else 503), {
+            "status": "ok" if healthy else "unhealthy",
+            "restored_version": restored, "checks": checks}, {}
 
-    @app.get("/cells")
-    def cells():
-        return jsonify({"cells": sorted(backend.services())})
+    def _cells(self, environ):
+        return 200, {"cells": sorted(self.backend.services())}, {}
 
-    return app
+
+def create_app(target, staleness_budget_s: float | None = None):
+    """Build the WSGI app over ``target`` (service or router).
+
+    ``staleness_budget_s`` arms the ``/healthz`` freshness check: a cell
+    whose served model is older than the budget flips the probe to 503
+    (the continuous-retraining loop has stalled even if its thread is
+    technically alive).  ``None`` disables the check.
+    """
+
+    return _App(target, staleness_budget_s)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive bridge from one connection to the WSGI app.
+
+    Nagle's algorithm is off and the reply's head and body leave in one
+    write, so a small reply never waits on the client's delayed ACK.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` when it cannot be framed."""
+
+        if "Transfer-Encoding" in self.headers:
+            return None
+        length = self.headers.get("Content-Length")
+        if length is None:
+            return b""
+        try:
+            n = int(length)
+        except ValueError:
+            return None
+        return self.rfile.read(n) if 0 <= n <= _MAX_BODY_BYTES else None
+
+    def _serve(self) -> None:
+        body = self._read_body()
+        if body is None:
+            # The app answers 400; drop the connection rather than read
+            # the unframed body's bytes as the next request.
+            self.close_connection = True
+        # The environ keys the app (and a wrapping tracer) read.
+        environ = {
+            "REQUEST_METHOD": self.command,
+            "PATH_INFO": self.path.partition("?")[0],
+            "CONTENT_LENGTH": "" if body is None else str(len(body)),
+            "wsgi.input": io.BytesIO(body or b""),
+        }
+        for key, value in self.headers.items():
+            environ.setdefault(f"HTTP_{key.upper().replace('-', '_')}", value)
+        reply = []
+
+        def start_response(status, headers, exc_info=None):
+            reply[:] = [status, headers]
+
+        data = b"".join(self.server.app(environ, start_response))
+        status, headers = reply
+        head = [f"{self.protocol_version} {status}"]
+        head.extend(f"{key}: {value}" for key, value in headers)
+        if self.close_connection:
+            head.append("Connection: close")
+        head.append("\r\n")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + data)
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
+
+    def log_message(self, format, *args):  # quiet access/error log
+        logger.debug("%s - %s", self.address_string(), format % args)
+
+
+class _Server(ThreadingHTTPServer):
+    """A threaded server over a listener socket the ingress bound.
+
+    Each connection runs on a daemon thread, so closing the server never
+    waits for an idle keep-alive client.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, sock: socket.socket, app):
+        BaseServer.__init__(self, sock.getsockname(), _Handler)
+        self.socket = sock
+        self.app = app
+
+    def handle_error(self, request, client_address):
+        logger.debug("HTTP connection from %s failed", client_address,
+                     exc_info=True)
 
 
 class HttpIngress:
-    """Threaded WSGI server(s) hosting the serving app.
+    """Threaded HTTP/1.1 keep-alive server(s) hosting :attr:`wsgi_app`.
 
     ``port=0`` binds an ephemeral port; read :attr:`port` after
-    :meth:`start`.  ``threaded=True`` gives each connection its own
-    handler thread, so a keep-alive load-generator connection cannot
-    starve the health probe.  The hot ``POST /classify`` path is served
-    by :class:`_ClassifyFastPath` ahead of Flask routing.
+    :meth:`start`.  Each connection stays open between requests on its
+    own daemon handler thread, so a keep-alive load-generator connection
+    cannot starve the health probe and :meth:`stop` never waits for an
+    idle client.
 
-    ``n_listeners > 1`` binds that many ``SO_REUSEPORT`` sockets to the
-    same port and runs one threaded server per socket: the kernel
-    load-balances accepted connections across listeners, every listener
-    dispatching into the same in-process serving stack.  This multiplies
-    the accept/handler capacity of the wire without any extra routing
-    layer (one host, one port, one backend).
+    The ingress binds ``n_listeners`` sockets and runs one server per
+    socket; with more than one, they share the port through
+    ``SO_REUSEPORT`` and the kernel load-balances accepted connections
+    across listeners, all dispatching into the same serving stack (one
+    host, one port, one backend).
     """
 
     def __init__(self, target, host: str = "127.0.0.1", port: int = 8080,
@@ -570,16 +596,13 @@ class HttpIngress:
                  n_listeners: int = 1):
         if n_listeners < 1:
             raise ValueError("n_listeners must be >= 1")
-        self.app = create_app(target,
-                              staleness_budget_s=staleness_budget_s)
-        self.wsgi_app = _ClassifyFastPath(self.app,
-                                          self.app.config["REPRO_TARGET"])
+        self.wsgi_app = create_app(target,
+                                   staleness_budget_s=staleness_budget_s)
         self.host = host
         self.n_listeners = n_listeners
         self._requested_port = port
         self._bound_port: int | None = None
-        self._servers: list = []
-        self._sockets: list[socket.socket] = []
+        self._servers: list[_Server] = []
         self._threads: list[threading.Thread] = []
 
     @property
@@ -595,84 +618,52 @@ class HttpIngress:
     def start(self) -> "HttpIngress":
         if self._servers:
             raise RuntimeError("ingress already started")
-        from werkzeug.serving import WSGIRequestHandler, make_server
-
-        class KeepAliveHandler(WSGIRequestHandler):
-            # HTTP/1.1 keeps load-generator connections open between
-            # requests; werkzeug defaults to 1.0 (close-per-request).
-            protocol_version = "HTTP/1.1"
-
-            def log_request(self, *args, **kwargs):  # quiet access log
-                pass
-
-        if self.n_listeners == 1:
-            server = make_server(self.host, self._requested_port,
-                                 self.wsgi_app, threaded=True,
-                                 request_handler=KeepAliveHandler)
-            self._servers = [server]
-            self._bound_port = server.server_port
-        else:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise RuntimeError("n_listeners > 1 needs SO_REUSEPORT, "
-                                   "which this platform lacks")
-            # Bind the sockets ourselves (the first may pick the
-            # ephemeral port the rest then share) and hand each to a
-            # werkzeug server via fd= (which dups it).
-            port = self._requested_port
-            try:
-                for _ in range(self.n_listeners):
-                    sock = socket.socket(socket.AF_INET,
-                                         socket.SOCK_STREAM)
+        if self.n_listeners > 1 and not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError("n_listeners > 1 needs SO_REUSEPORT, "
+                               "which this platform lacks")
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        port = self._requested_port
+        sockets: list[socket.socket] = []
+        try:
+            for _ in range(self.n_listeners):
+                sock = socket.socket(family, socket.SOCK_STREAM)
+                sockets.append(sock)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                if self.n_listeners > 1:
                     sock.setsockopt(socket.SOL_SOCKET,
                                     socket.SO_REUSEPORT, 1)
-                    sock.bind((self.host, port))
-                    sock.listen(128)
-                    port = sock.getsockname()[1]
-                    self._sockets.append(sock)
-                self._bound_port = port
-                self._servers = [
-                    make_server(self.host, self._bound_port,
-                                self.wsgi_app, threaded=True,
-                                request_handler=KeepAliveHandler,
-                                fd=sock.fileno())
-                    for sock in self._sockets]
-            except BaseException:
-                self._teardown()
-                raise
-        self._threads = []
-        for i, server in enumerate(self._servers):
-            thread = threading.Thread(target=server.serve_forever,
-                                      name=f"repro-serve-http-{i}",
-                                      daemon=True)
-            self._threads.append(thread)
+                sock.bind((self.host, port))
+                sock.listen(128)
+                # The first socket may pick the ephemeral port the rest
+                # then share.
+                port = sock.getsockname()[1]
+        except BaseException:
+            for sock in sockets:
+                sock.close()
+            raise
+        self._bound_port = port
+        self._servers = [_Server(sock, self.wsgi_app) for sock in sockets]
+        self._threads = [
+            threading.Thread(target=server.serve_forever,
+                             name=f"repro-serve-http-{i}", daemon=True)
+            for i, server in enumerate(self._servers)]
+        for thread in self._threads:
             thread.start()
         logger.info("HTTP ingress listening on %s (%d listener(s))",
                     self.url, len(self._servers))
         return self
 
-    def _teardown(self) -> None:
-        for server in self._servers:
-            server.server_close()
-        for sock in self._sockets:
-            sock.close()
-        self._servers = []
-        self._sockets = []
-        self._threads = []
-        self._bound_port = None
-
     def stop(self, timeout: float | None = 10.0) -> None:
         if not self._servers:
             return
         for server in self._servers:
-            server.shutdown()
-        if timeout is None:
-            for thread in self._threads:
-                thread.join()
-        else:
-            deadline = time.monotonic() + timeout
-            for thread in self._threads:
-                thread.join(max(0.0, deadline - time.monotonic()))
-        self._teardown()
+            server.shutdown()  # waits for serve_forever to return
+            server.server_close()
+        for thread in self._threads:
+            thread.join(timeout)
+        self._servers = []
+        self._threads = []
+        self._bound_port = None
 
     def __enter__(self) -> "HttpIngress":
         return self.start() if not self._servers else self

@@ -436,6 +436,9 @@ class Supervisor:
             return
         self._suspended = False
         self._schedule_restart(now)
+        # Clear the reason before the restart counts, so no reader sees
+        # "restarted" and "degraded" at once.
+        self._set_degraded("trainer_down", False)
         with self._lock:
             self.restarts_total += 1
             restarts = self.restarts_total

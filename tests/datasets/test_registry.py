@@ -96,3 +96,34 @@ class TestJournal:
     def test_end_without_begin(self):
         with pytest.raises(RuntimeError):
             FeatureRegistry().end_step()
+
+
+class TestHashSeedIndependence:
+    def test_not_in_column_order_stable_across_hash_seeds(self):
+        """Frozenset iteration order follows ``PYTHONHASHSEED``; the
+        registry must not, or the CO-VV column order would change from
+        run to run."""
+
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "from repro.constraints import AttributeSpec\n"
+            "from repro.datasets import FeatureRegistry\n"
+            "reg = FeatureRegistry()\n"
+            "reg.observe_spec(AttributeSpec('zone', not_in=frozenset("
+            "'abcdefghijkl')))\n"
+            "print(reg.feature_labels())\n")
+        outs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            outs.add(run.stdout.strip())
+        assert len(outs) == 1, outs

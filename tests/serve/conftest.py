@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+from json import dumps, loads
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,61 @@ class ConstantModel:
 
     def clone(self) -> "ConstantModel":
         return ConstantModel(self.value, self.features_count)
+
+
+class WsgiResponse:
+    """One reply from :class:`WsgiClient`."""
+
+    def __init__(self, status: str, headers, data: bytes):
+        self.status_code = int(status.split()[0])
+        self.headers = dict(headers)
+        self.data = data
+
+    @property
+    def content_type(self) -> str | None:
+        return self.headers.get("Content-Type")
+
+    def get_data(self, as_text: bool = False):
+        return self.data.decode() if as_text else self.data
+
+    def get_json(self):
+        return loads(self.data)
+
+
+class WsgiClient:
+    """Drives a WSGI app in process: no socket, no server thread.
+
+    ``json=`` encodes a body; ``data=`` sends raw bytes; ``environ=``
+    overrides keys (e.g. drops ``CONTENT_LENGTH``).
+    """
+
+    def __init__(self, app):
+        self.app = app
+
+    def open(self, method: str, path: str, *, json=None, data: bytes = b"",
+             environ: dict | None = None) -> WsgiResponse:
+        body = data if json is None else dumps(json).encode()
+        env = {
+            "REQUEST_METHOD": method,
+            "PATH_INFO": path,
+            "CONTENT_LENGTH": str(len(body)),
+            "wsgi.input": io.BytesIO(body),
+            **(environ or {}),
+        }
+        captured = {}
+
+        def start_response(status, headers, exc_info=None):
+            captured["status"], captured["headers"] = status, headers
+
+        data = b"".join(self.app(env, start_response))
+        return WsgiResponse(captured["status"], captured["headers"], data)
+
+    def get(self, path: str, **kwargs) -> WsgiResponse:
+        return self.open("GET", path, **kwargs)
+
+    def post(self, path: str, **kwargs) -> WsgiResponse:
+        return self.open("POST", path, **kwargs)
+
 
 
 @pytest.fixture()

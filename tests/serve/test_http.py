@@ -1,8 +1,9 @@
 """HTTP ingress: route semantics, error mapping, health plane, and a
 real-socket load-generator run.
 
-Most tests drive the Flask app through its test client (no sockets, no
-flakes); :class:`TestRealSocket` boots an actual
+Most tests drive the WSGI app in process through
+:class:`~tests.serve.conftest.WsgiClient` (no sockets, no flakes);
+:class:`TestRealSocket` and :class:`TestKeepAlive` boot an actual
 :class:`~repro.serve.HttpIngress` on an ephemeral port and replays load
 over the wire — the zero-lost / zero-misrouted acceptance criterion in
 its HTTP form.
@@ -10,6 +11,7 @@ its HTTP form.
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
@@ -18,14 +20,13 @@ import pytest
 from repro.serve import (CellRouter, ClassificationService, HttpIngress,
                          LoadGenerator, create_app)
 
+from .conftest import WsgiClient
 from .faults import SlowModel, kill_trainer
-
-flask = pytest.importorskip("flask")
 
 
 @pytest.fixture()
 def http_service(pipeline_result, constant_model):
-    """A started single-cell service behind the Flask test client."""
+    """A started single-cell service behind the in-process client."""
 
     width = pipeline_result.registry.features_count
     service = ClassificationService(
@@ -38,9 +39,7 @@ def http_service(pipeline_result, constant_model):
 @pytest.fixture()
 def client(http_service):
     service, _tasks = http_service
-    app = create_app(service)
-    app.config["TESTING"] = True
-    return app.test_client()
+    return WsgiClient(create_app(service))
 
 
 def wire_task(task) -> dict:
@@ -73,8 +72,7 @@ class TestClassify:
         assert "nope" in response.get_json()["error"]
 
     def test_malformed_bodies_are_400(self, client):
-        assert client.post("/classify", data=b"not json",
-                           content_type="application/json"
+        assert client.post("/classify", data=b"not json"
                            ).status_code == 400
         assert client.post("/classify", json=[1, 2]).status_code == 400
         assert client.post("/classify", json={}).status_code == 400
@@ -95,8 +93,7 @@ class TestClassify:
                                  min_observations=10**6),
             rng=np.random.default_rng(0)).start()
         try:
-            app = create_app(service)
-            test_client = app.test_client()
+            test_client = WsgiClient(create_app(service))
             response = test_client.post("/observe", json={
                 "task": wire_task(result.tasks[0]), "group": 1})
             assert response.status_code == 204
@@ -133,7 +130,7 @@ class TestOverloadMapping:
         try:
             from repro.errors import OverloadedError
 
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             task = wire_task(pipeline_result.tasks[0])
             # Fill the 4-slot queue in process (the HTTP endpoint blocks
             # per request, so a sequential client can't overflow it)...
@@ -175,7 +172,7 @@ class TestHealthz:
                                  min_observations=10**6),
             rng=np.random.default_rng(0)).start()
         try:
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             assert test_client.get("/healthz").status_code == 200
             kill_trainer(service.trainer)
             response = test_client.get("/healthz")
@@ -189,9 +186,9 @@ class TestHealthz:
 
     def test_staleness_budget_flips_503(self, http_service):
         service, _tasks = http_service
-        fresh = create_app(service, staleness_budget_s=3600.0).test_client()
+        fresh = WsgiClient(create_app(service, staleness_budget_s=3600.0))
         assert fresh.get("/healthz").status_code == 200
-        stale = create_app(service, staleness_budget_s=1e-9).test_client()
+        stale = WsgiClient(create_app(service, staleness_budget_s=1e-9))
         time.sleep(0.01)
         response = stale.get("/healthz")
         assert response.status_code == 503
@@ -206,7 +203,7 @@ class TestHealthz:
             constant_model(0, width), pipeline_result.registry,
             trainer=False, max_queue=16).start()
         try:
-            body = create_app(service).test_client().get(
+            body = WsgiClient(create_app(service)).get(
                 "/healthz").get_json()
             saturation = [c for c in body["checks"]
                           if c["check"] == "queue_saturation"]
@@ -250,7 +247,7 @@ class TestRouterApp:
         router.add_cell("cell-a", constant_model(0, width), registry)
         router.add_cell("cell-b", constant_model(1, width), registry)
         router.start()
-        yield create_app(router).test_client(), pipeline_result.tasks
+        yield WsgiClient(create_app(router)), pipeline_result.tasks
         router.close()
 
     def test_explicit_cell_routes(self, router_client):
@@ -360,3 +357,65 @@ class TestRealSocket:
             ingress.stop()  # idempotent
         finally:
             service.close()
+
+
+class TestKeepAlive:
+    """The stdlib HTTP/1.1 server behind :class:`HttpIngress`."""
+
+    @pytest.fixture()
+    def ingress(self, http_service):
+        service, _tasks = http_service
+        with HttpIngress(service, port=0) as ingress:
+            yield ingress
+
+    def test_two_requests_share_one_connection(self, ingress):
+        import http.client
+
+        conn = http.client.HTTPConnection(ingress.host, ingress.port,
+                                          timeout=5)
+        try:
+            conn.request("GET", "/cells")
+            first = conn.getresponse()
+            assert first.status == 200
+            assert first.getheader("Connection") is None
+            first.read()
+            sock = conn.sock
+            conn.request("POST", "/nope", body=b"{}")
+            second = conn.getresponse()
+            assert second.status == 404
+            assert second.getheader("Connection") is None
+            assert "error" in json.loads(second.read())
+            assert conn.sock is sock, "the client had to reconnect"
+        finally:
+            conn.close()
+
+    def test_invalid_content_length_is_400_and_closes(self, ingress):
+        import socket
+
+        with socket.create_connection((ingress.host, ingress.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /classify HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: abc\r\n\r\n{}")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_stop_does_not_wait_for_idle_connection(self, http_service):
+        import http.client
+
+        service, _tasks = http_service
+        ingress = HttpIngress(service, port=0).start()
+        conn = http.client.HTTPConnection(ingress.host, ingress.port,
+                                          timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            started = time.monotonic()
+            ingress.stop()
+            assert time.monotonic() - started < 2.0
+        finally:
+            conn.close()

@@ -14,7 +14,6 @@ real sockets — zero lost, zero misrouted.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 
@@ -24,16 +23,14 @@ import pytest
 from repro.errors import OverloadedError
 from repro.serve import (ClassificationService, HttpIngress,
                          LoadGenerator, create_app)
-from repro.serve.http import _ClassifyFastPath
 
+from .conftest import WsgiClient
 from .faults import SlowModel
-
-flask = pytest.importorskip("flask")
 
 
 @pytest.fixture()
 def http_service(pipeline_result, constant_model):
-    """A started single-cell service behind the Flask test client."""
+    """A started single-cell service behind the in-process client."""
 
     width = pipeline_result.registry.features_count
     service = ClassificationService(
@@ -46,9 +43,7 @@ def http_service(pipeline_result, constant_model):
 @pytest.fixture()
 def client(http_service):
     service, _tasks = http_service
-    app = create_app(service)
-    app.config["TESTING"] = True
-    return app.test_client()
+    return WsgiClient(create_app(service))
 
 
 def wire_task(task) -> dict:
@@ -80,7 +75,7 @@ class TestBatchedClassify:
                                         trainer=False,
                                         max_wait_us=200).start()
         try:
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             sample = result.tasks[:32]
             singles = []
             for task in sample:
@@ -129,7 +124,7 @@ class TestBatchedClassify:
             pipeline_result.registry, trainer=False, max_batch=8,
             max_wait_us=100, max_queue=4).start()
         try:
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             for _ in range(40):
                 try:
                     service.submit(pipeline_result.tasks[0])
@@ -181,7 +176,7 @@ class Test504CancelOrAccount:
             slow, pipeline_result.registry, trainer=False, max_batch=1,
             max_wait_us=100).start()
         try:
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             # Occupy the single worker for ~0.4s...
             blocker = service.submit(pipeline_result.tasks[0])
             time.sleep(0.02)
@@ -207,7 +202,7 @@ class Test504CancelOrAccount:
             slow, pipeline_result.registry, trainer=False, max_batch=1,
             max_wait_us=100).start()
         try:
-            test_client = create_app(service).test_client()
+            test_client = WsgiClient(create_app(service))
             # The worker is idle, so the request is taken within the
             # 100µs window — by timeout time it is mid-predict.
             response = test_client.post("/classify", json={
@@ -240,83 +235,61 @@ class TestAuditClassify:
 
 
 class TestFastPathApp:
-    """The pre-Flask WSGI dispatcher, driven as a plain WSGI callable."""
+    """The WSGI dispatch table, driven as a plain WSGI callable."""
 
-    @staticmethod
-    def _call(app, method, path, body: bytes):
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = int(status.split()[0])
-            captured["headers"] = dict(headers)
-
-        environ = {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "CONTENT_LENGTH": str(len(body)),
-            "CONTENT_TYPE": "application/json",
-            "SERVER_NAME": "test", "SERVER_PORT": "80",
-            "SERVER_PROTOCOL": "HTTP/1.1",
-            "wsgi.url_scheme": "http",
-            "wsgi.input": io.BytesIO(body),
-            "wsgi.errors": io.StringIO(),
-        }
-        chunks = app(environ, start_response)
-        data = b"".join(chunks)
-        if hasattr(chunks, "close"):
-            chunks.close()
-        return captured["status"], captured["headers"], data
-
-    def test_classify_bypasses_flask(self, http_service):
-        service, tasks = http_service
-        flask_app = create_app(service)
-        app = _ClassifyFastPath(flask_app,
-                                flask_app.config["REPRO_TARGET"])
-        body = json.dumps({"task": wire_task(tasks[0])}).encode()
-        status, headers, data = self._call(app, "POST", "/classify", body)
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        assert int(headers["Content-Length"]) == len(data)
-        payload = json.loads(data)
+    def test_classify_served_from_table(self, client, http_service):
+        _service, tasks = http_service
+        response = client.post("/classify",
+                               json={"task": wire_task(tasks[0])})
+        assert response.status_code == 200
+        assert response.headers["Content-Type"] == "application/json"
+        assert int(response.headers["Content-Length"]) == len(
+            response.data)
+        payload = response.get_json()
         assert payload["group"] == 2
         assert payload["model_version"] == 1
 
-    def test_batched_body_on_fast_path(self, http_service):
-        service, tasks = http_service
-        flask_app = create_app(service)
-        app = _ClassifyFastPath(flask_app,
-                                flask_app.config["REPRO_TARGET"])
-        body = json.dumps(
-            {"tasks": [wire_task(t) for t in tasks[:3]]}).encode()
-        status, _headers, data = self._call(app, "POST", "/classify",
-                                            body)
-        assert status == 200
-        results = json.loads(data)["results"]
+    def test_batched_body_on_fast_path(self, client, http_service):
+        _service, tasks = http_service
+        response = client.post("/classify", json={
+            "tasks": [wire_task(t) for t in tasks[:3]]})
+        assert response.status_code == 200
+        results = response.get_json()["results"]
         assert [entry["group"] for entry in results] == [2, 2, 2]
 
-    def test_malformed_json_is_400(self, http_service):
-        service, _tasks = http_service
-        flask_app = create_app(service)
-        app = _ClassifyFastPath(flask_app,
-                                flask_app.config["REPRO_TARGET"])
+    def test_malformed_json_is_400(self, client):
         for raw in (b"not json", b"[1, 2]", b""):
-            status, _headers, data = self._call(app, "POST", "/classify",
-                                                raw)
-            assert status == 400
-            assert "error" in json.loads(data)
+            response = client.post("/classify", data=raw)
+            assert response.status_code == 400
+            assert "error" in response.get_json()
 
-    def test_other_routes_fall_through_to_flask(self, http_service):
-        service, _tasks = http_service
-        flask_app = create_app(service)
-        flask_app.config["TESTING"] = True
-        app = _ClassifyFastPath(flask_app,
-                                flask_app.config["REPRO_TARGET"])
-        status, _headers, data = self._call(app, "GET", "/cells", b"")
-        assert status == 200
-        assert json.loads(data) == {"cells": ["default"]}
-        # Same method+path mismatch rule: GET /classify is Flask's 405.
-        status, _headers, _data = self._call(app, "GET", "/classify", b"")
-        assert status == 405
+    def test_other_routes_and_wrong_method(self, client):
+        response = client.get("/cells")
+        assert response.status_code == 200
+        assert response.get_json() == {"cells": ["default"]}
+        # A known path under another method is 405, naming the allowed
+        # one.
+        response = client.get("/classify")
+        assert response.status_code == 405
+        assert response.headers["Allow"] == "POST"
+        assert "error" in response.get_json()
+
+    def test_unknown_path_is_json_404(self, client):
+        for method in ("GET", "POST"):
+            response = client.open(method, "/nope")
+            assert response.status_code == 404
+            assert response.headers["Content-Type"] == "application/json"
+            assert "/nope" in response.get_json()["error"]
+
+    def test_missing_or_invalid_content_length_is_400(self, client,
+                                                      http_service):
+        _service, tasks = http_service
+        body = json.dumps({"task": wire_task(tasks[0])}).encode()
+        for length in ("", "abc", "-1"):
+            response = client.post("/classify", data=body,
+                                   environ={"CONTENT_LENGTH": length})
+            assert response.status_code == 400
+            assert "Content-Length" in response.get_json()["error"]
 
 
 class TestMultiListener:

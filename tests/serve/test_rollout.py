@@ -19,6 +19,7 @@ from repro.serve import (CandidateRoute, ClassificationService, ModelHandle,
                          Telemetry, render_prometheus)
 from repro.sim import RetrainPolicy
 
+from .conftest import WsgiClient
 from .faults import RegressingModel, assert_exactly_once
 
 
@@ -480,7 +481,7 @@ class TestTrainerResilience:
                                  min_observations=10**6),
             rng=np.random.default_rng(0)).start()
         try:
-            client = create_app(service).test_client()
+            client = WsgiClient(create_app(service))
             assert client.get("/healthz").status_code == 200
             # Wedge the trainer: alive, but past the crash threshold.
             with service.trainer._lock:

@@ -13,6 +13,7 @@ from repro.serve import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                          CircuitBreaker, ClassificationService, Supervisor)
 from repro.sim import RetrainPolicy
 
+from .conftest import WsgiClient
 from .faults import StallGate, kill_trainer
 
 
@@ -276,7 +277,6 @@ class TestSupervisorTrainer:
 
 class TestBreakerOverHttp:
     def test_open_breaker_maps_to_503_with_retry_after(self, serve_setup):
-        flask = pytest.importorskip("flask")  # noqa: F841
         from repro.serve import create_app
 
         model, result = serve_setup
@@ -285,9 +285,7 @@ class TestBreakerOverHttp:
         service = ClassificationService(model, result.registry,
                                         trainer=False, breaker=breaker)
         with service:
-            app = create_app(service)
-            app.config["TESTING"] = True
-            client = app.test_client()
+            client = WsgiClient(create_app(service))
             breaker.trip("failure_rate")
             response = client.post(
                 "/classify", json={"task": result.tasks[0].to_dict()})
