@@ -76,6 +76,25 @@ def record_train_bench(section: str, payload: dict) -> Path:
 
 
 @lru_cache(maxsize=None)
+class PlanlessModel:
+    """Serves a model on the eager ``align`` + ``predict`` path.
+
+    Delegates ``predict`` and ``features_count`` and has no
+    ``compile``, so a publication of it carries no inference plan —
+    the eager fallback that duck-typed models take.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    @property
+    def features_count(self):
+        return self.model.features_count
+
+    def predict(self, X):
+        return self.model.predict(X)
+
+
 def bench_cell(name: str, tasks_per_day: int = TASKS_PER_DAY,
                seed: int = SEED):
     """One synthetic cell at bench scale (memoized per session)."""

@@ -8,7 +8,7 @@ measures delivered throughput and tail latency.
 
 Floors, tightened as the stack got faster:
 
-* eager single worker (``compile=False``, the fallback path): ≥ 5,000
+* eager single worker (a plan-less model, the fallback path): ≥ 5,000
   classifications/second with nothing dropped — the original PR-1 floor;
 * **compiled** single worker (the fused ``InferencePlan`` fast path):
   ≥ 10,000/s, i.e. 2× the eager floor, with every batch served through
@@ -52,9 +52,11 @@ import pytest
 from repro.analysis import render_table
 from repro.core import BENCH_CONFIG, GrowingModel
 from repro.datasets import COVVEncoder, DatasetData
-from repro.serve import ClassificationService, LoadGenerator, ModelHandle
+from repro.serve import (CellConfig, ClassificationService, LoadGenerator,
+                         ModelHandle)
 
-from _common import SEED, bench_pipeline, record_serve_bench
+from _common import (SEED, PlanlessModel, bench_pipeline,
+                     record_serve_bench)
 
 EAGER_OFFERED_RATE = 12_000.0
 FASTPATH_OFFERED_RATE = 24_000.0
@@ -122,13 +124,14 @@ def _report_payload(report, **extra) -> dict:
 
 
 def test_serve_throughput(deployment, benchmark):
-    """Eager (``compile=False``) single worker: the fallback path must
-    still clear the original 5k/s floor."""
+    """Eager single worker (the model behind a plan-less wrapper): the
+    fallback path must still clear the original 5k/s floor."""
 
     model, result = deployment
-    service = ClassificationService(model, result.registry, max_batch=64,
-                                    max_wait_us=500, trainer=False,
-                                    compile=False)
+    eager = PlanlessModel(model)
+    service = ClassificationService(eager, result.registry,
+                                    CellConfig(max_batch=64, max_wait_us=500),
+                                    trainer=False)
     with service:
         report = LoadGenerator(
             service, result.tasks, result.labels, rate=EAGER_OFFERED_RATE,
@@ -151,7 +154,7 @@ def test_serve_throughput(deployment, benchmark):
     assert report.n_dropped == 0
     assert report.throughput_rps >= THROUGHPUT_FLOOR
     assert lat.p99_us > 0
-    # compile=False must keep every batch on the eager oracle path.
+    # A plan-less model must keep every batch on the eager path.
     assert stats.compiled_batches == 0
     _throughput["eager"] = report.throughput_rps
     record_serve_bench("eager_single_worker", _report_payload(report))
@@ -168,9 +171,10 @@ def test_serve_throughput(deployment, benchmark):
             request.wait(5)
         return requests
 
-    service_bench = ClassificationService(model, result.registry,
-                                          max_batch=64, max_wait_us=200,
-                                          trainer=False, compile=False)
+    service_bench = ClassificationService(eager, result.registry,
+                                          CellConfig(max_batch=64,
+                                                     max_wait_us=200),
+                                          trainer=False)
     with service_bench:
         benchmark(classify_batch)
 
@@ -192,9 +196,9 @@ def test_serve_throughput_fastpath(deployment, benchmark):
     plan, and predictions bit-identical to the eager oracle."""
 
     model, result = deployment
-    service = ClassificationService(model, result.registry, max_batch=64,
-                                    max_wait_us=500, trainer=False,
-                                    compile=True)
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(max_batch=64, max_wait_us=500),
+                                    trainer=False)
     with service:
         report = LoadGenerator(
             service, result.tasks, result.labels,
@@ -274,8 +278,9 @@ def test_serve_throughput_fastpath(deployment, benchmark):
         return requests
 
     service_bench = ClassificationService(model, result.registry,
-                                          max_batch=64, max_wait_us=200,
-                                          trainer=False, compile=True)
+                                          CellConfig(max_batch=64,
+                                                     max_wait_us=200),
+                                          trainer=False)
     with service_bench:
         benchmark(classify_batch)
 
@@ -286,9 +291,10 @@ def test_serve_throughput_sharded(deployment, benchmark):
     shard's counters adding up."""
 
     model, result = deployment
-    service = ClassificationService(model, result.registry, max_batch=64,
-                                    max_wait_us=500, trainer=False,
-                                    n_workers=SHARDED_WORKERS)
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(max_batch=64, max_wait_us=500,
+                                               n_workers=SHARDED_WORKERS),
+                                    trainer=False)
     with service:
         report = LoadGenerator(
             service, result.tasks, result.labels,
@@ -338,10 +344,10 @@ def test_serve_throughput_sharded(deployment, benchmark):
             request.wait(5)
         return requests
 
-    service_bench = ClassificationService(model, result.registry,
-                                          max_batch=64, max_wait_us=200,
-                                          trainer=False,
-                                          n_workers=SHARDED_WORKERS)
+    service_bench = ClassificationService(
+        model, result.registry,
+        CellConfig(max_batch=64, max_wait_us=200, n_workers=SHARDED_WORKERS),
+        trainer=False)
     with service_bench:
         benchmark(classify_batch)
 
@@ -360,8 +366,9 @@ def test_serve_throughput_http(deployment, benchmark):
     from repro.serve import HttpIngress
 
     model, result = deployment
-    service = ClassificationService(model, result.registry, max_batch=64,
-                                    max_wait_us=500, trainer=False)
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(max_batch=64, max_wait_us=500),
+                                    trainer=False)
     with service:
         with HttpIngress(service, port=0) as ingress:
             report = LoadGenerator(
@@ -406,7 +413,8 @@ def test_serve_throughput_http(deployment, benchmark):
     from http.client import HTTPConnection
 
     service_bench = ClassificationService(model, result.registry,
-                                          max_batch=64, max_wait_us=200,
+                                          CellConfig(max_batch=64,
+                                                     max_wait_us=200),
                                           trainer=False)
     body = _json.dumps({"task": result.tasks[0].to_dict()}).encode()
 
@@ -443,8 +451,9 @@ def test_serve_throughput_http_batched(deployment, benchmark):
     from repro.serve import HttpIngress
 
     model, result = deployment
-    service = ClassificationService(model, result.registry, max_batch=256,
-                                    max_wait_us=500, trainer=False)
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(max_batch=256, max_wait_us=500),
+                                    trainer=False)
     with service:
         with HttpIngress(service, port=0,
                          n_listeners=HTTP_LISTENERS) as ingress:
@@ -495,7 +504,8 @@ def test_serve_throughput_http_batched(deployment, benchmark):
     from http.client import HTTPConnection
 
     service_bench = ClassificationService(model, result.registry,
-                                          max_batch=256, max_wait_us=200,
+                                          CellConfig(max_batch=256,
+                                                     max_wait_us=200),
                                           trainer=False)
     body = _json.dumps(
         {"tasks": [task.to_dict()
@@ -523,9 +533,11 @@ def _overload_run(model, result, *, autotune: bool, max_batch: int):
     """One bursty overload run behind a 50 ms admission budget."""
 
     service = ClassificationService(
-        model, result.registry, max_batch=max_batch, max_wait_us=1000,
-        trainer=False, latency_budget_ms=OVERLOAD_BUDGET_MS,
-        shed_policy="reject", autotune=autotune)
+        model, result.registry,
+        CellConfig(max_batch=max_batch, max_wait_us=1000,
+                   latency_budget_ms=OVERLOAD_BUDGET_MS, shed_policy="reject",
+                   autotune=autotune),
+        trainer=False)
     with service:
         report = LoadGenerator(
             service, result.tasks, rate=OVERLOAD_RATE,
@@ -590,8 +602,10 @@ def test_serve_overload_autotune_goodput(deployment, benchmark):
     # Benchmark unit: one bursty overload second through the autotuned,
     # admission-controlled service.
     service_bench = ClassificationService(
-        model, result.registry, max_batch=256, max_wait_us=1000,
-        trainer=False, latency_budget_ms=OVERLOAD_BUDGET_MS, autotune=True)
+        model, result.registry,
+        CellConfig(max_batch=256, max_wait_us=1000,
+                   latency_budget_ms=OVERLOAD_BUDGET_MS, autotune=True),
+        trainer=False)
 
     def overload_second():
         return LoadGenerator(

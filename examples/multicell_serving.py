@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core import BENCH_CONFIG, GrowingModel
 from repro.datasets import DatasetData, build_step_datasets
-from repro.serve import CellRouter, LoadGenerator
+from repro.serve import CellConfig, CellRouter, LoadGenerator
 from repro.trace import generate_cell
 
 
@@ -52,7 +52,7 @@ def main() -> None:
                         help="batcher shards per cell")
     args = parser.parse_args()
 
-    router = CellRouter(n_workers=args.workers)
+    router = CellRouter(CellConfig(n_workers=args.workers))
     corpora = {}
     for k, profile in enumerate(p for p in args.cells.split(",") if p):
         cell = generate_cell(profile, scale=args.scale,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core import BENCH_CONFIG, GrowingModel
 from repro.datasets import DatasetData, build_step_datasets
-from repro.serve import ClassificationService, LoadGenerator
+from repro.serve import CellConfig, ClassificationService, LoadGenerator
 from repro.sim import RetrainPolicy
 from repro.trace import generate_cell
 
@@ -69,12 +69,12 @@ def main() -> None:
           f"({len(result.tasks):,} constrained tasks in corpus)")
 
     policy = RetrainPolicy(growth_threshold=4, min_observations=100)
-    service = ClassificationService(model, result.registry,
-                                    n_workers=args.workers, policy=policy,
-                                    latency_budget_ms=args.latency_budget_ms,
-                                    shed_policy=args.shed_policy,
-                                    autotune=args.autotune,
-                                    rng=np.random.default_rng(args.seed + 2))
+    service = ClassificationService(
+        model, result.registry,
+        CellConfig(n_workers=args.workers,
+                   latency_budget_ms=args.latency_budget_ms,
+                   shed_policy=args.shed_policy, autotune=args.autotune),
+        policy=policy, rng=np.random.default_rng(args.seed + 2))
     with service:
         report = LoadGenerator(
             service, result.tasks, result.labels, rate=args.rate,

@@ -100,16 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="continuously re-fit microbatch size/wait to "
                             "the observed arrival rate (--max-batch / "
                             "--max-wait-us become the tuner's caps)")
-        p.add_argument("--compile", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="serve through the fused inference plan "
-                            "(sparse end-to-end, no autograd); "
-                            "--no-compile keeps the eager Module path")
-        p.add_argument("--fused-train", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="background-retrain through the fused "
-                            "training plan (CSR-kept data, no autograd); "
-                            "--no-fused-train keeps the eager loop")
         p.add_argument("--canary-fraction", type=float, default=None,
                        help="stage retrained models instead of publishing "
                             "them directly: shadow-score on a replay ring, "
@@ -328,6 +318,36 @@ def _parse_cell_profiles(spec: str | None) -> list[str]:
             if name]
 
 
+def _extra_cells(args, home: str) -> list[tuple[int, str, object]]:
+    """``(k, cell id, pipeline result)`` for every ``--cells`` profile.
+
+    ``serve --cells`` and ``loadtest --url --cells`` both name and seed
+    their extra cells here, so a wire load run addresses exactly the
+    cell ids, in the same order, that the server registered.  A profile
+    repeating an id already taken gets a ``#<k+1>`` suffix.
+    """
+
+    from .datasets import build_step_datasets
+    from .trace import generate_cell
+
+    taken = {home}
+    cells = []
+    for k, profile in enumerate(_parse_cell_profiles(args.cells)):
+        extra_cell = generate_cell(profile, scale=0.02,
+                                   seed=args.seed + 10 + k, days=3,
+                                   tasks_per_day=400)
+        extra_result = build_step_datasets(extra_cell)
+        if not extra_result.tasks:
+            raise SystemExit(f"profile {profile} produced no constrained "
+                             f"tasks")
+        cell_id = extra_cell.name
+        if cell_id in taken:
+            cell_id = f"{cell_id}#{k + 1}"
+        taken.add(cell_id)
+        cells.append((k, cell_id, extra_result))
+    return cells
+
+
 def _serving_setup(args):
     """Shared serve/loadtest bring-up.
 
@@ -338,9 +358,10 @@ def _serving_setup(args):
     """
 
     from .datasets import build_step_datasets
-    from .serve import CellRouter, ClassificationService, RolloutPolicy
+    from .serve import (CellConfig, CellRouter, ClassificationService,
+                        RolloutPolicy)
     from .sim import RetrainPolicy
-    from .trace import CellArchive, generate_cell
+    from .trace import CellArchive
 
     cell = CellArchive(args.archive).load()
     result = build_step_datasets(cell)
@@ -365,54 +386,36 @@ def _serving_setup(args):
                     args.rollback_on))
         except ValueError as exc:
             raise SystemExit(f"bad rollout flags: {exc}") from None
-    admission_kwargs = dict(latency_budget_ms=args.latency_budget_ms,
-                            max_queue=args.max_queue,
-                            shed_policy=args.shed_policy,
-                            autotune=args.autotune,
-                            compile=args.compile,
-                            fused_train=args.fused_train,
-                            rollout=rollout)
     # loadtest has no durability/supervision flags; getattr keeps the
     # shared bring-up working for both subcommands.
+    config = CellConfig(max_batch=args.max_batch,
+                        max_wait_us=args.max_wait_us,
+                        n_workers=args.workers,
+                        latency_budget_ms=args.latency_budget_ms,
+                        max_queue=args.max_queue,
+                        shed_policy=args.shed_policy,
+                        autotune=args.autotune, rollout=rollout,
+                        supervise=getattr(args, "supervise", False))
     state_dir = getattr(args, "state_dir", None)
-    supervise = getattr(args, "supervise", False)
-    extra_profiles = _parse_cell_profiles(args.cells)
-    if not extra_profiles:
+    state_dir = None if state_dir is None else str(state_dir)
+    extra_cells = _extra_cells(args, cell.name)
+    if not extra_cells:
         service = ClassificationService(
-            model, result.registry, max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us, n_workers=args.workers,
-            trainer=not args.no_trainer, policy=policy(),
-            state_dir=None if state_dir is None else str(state_dir),
-            supervise=supervise,
-            rng=np.random.default_rng(args.seed + 2),
-            **admission_kwargs)
+            model, result.registry, config, trainer=not args.no_trainer,
+            policy=policy(), state_dir=state_dir,
+            rng=np.random.default_rng(args.seed + 2))
         return cell, result, model, service, None
 
-    router = CellRouter(n_workers=args.workers, max_batch=args.max_batch,
-                        max_wait_us=args.max_wait_us,
-                        state_dir=None if state_dir is None
-                        else str(state_dir),
-                        supervise=supervise, **admission_kwargs)
+    router = CellRouter(config, state_dir=state_dir)
     router.add_cell(cell.name, model, result.registry,
                     trainer=not args.no_trainer, policy=policy(),
                     rng=np.random.default_rng(args.seed + 2))
     corpora = {cell.name: (result.tasks, result.labels)}
-    for k, profile in enumerate(extra_profiles):
-        extra_cell = generate_cell(profile, scale=0.02,
-                                   seed=args.seed + 10 + k, days=3,
-                                   tasks_per_day=400)
-        extra_result = build_step_datasets(extra_cell)
-        if not extra_result.tasks:
-            raise SystemExit(f"profile {profile} produced no constrained "
-                             f"tasks to serve")
+    for k, cell_id, extra_result in extra_cells:
         extra_model = _train_initial_model(extra_result, args.train_steps,
                                            args.seed + 20 + k)
         if extra_model is None:
-            raise SystemExit(f"profile {profile}: no trainable growth "
-                             f"window")
-        cell_id = extra_cell.name
-        if cell_id in corpora:
-            cell_id = f"{cell_id}#{k + 1}"
+            raise SystemExit(f"cell {cell_id}: no trainable growth window")
         router.add_cell(cell_id, extra_model, extra_result.registry,
                         trainer=not args.no_trainer, policy=policy(),
                         rng=np.random.default_rng(args.seed + 30 + k))
@@ -423,33 +426,21 @@ def _serving_setup(args):
 def _corpora_setup(args):
     """Task corpora for ``loadtest --url`` — no local models, no serving.
 
-    Mirrors :func:`_serving_setup`'s cell naming/seeding exactly so a
-    ``loadtest --url --cells 2019a`` run addresses the same cell ids a
-    ``serve --http-port --cells 2019a`` process registered.
+    Cells are named by :func:`_extra_cells`, as in :func:`_serving_setup`.
     """
 
     from .datasets import build_step_datasets
-    from .trace import CellArchive, generate_cell
+    from .trace import CellArchive
 
     cell = CellArchive(args.archive).load()
     result = build_step_datasets(cell)
     if not result.tasks:
         raise SystemExit("archive has no constrained tasks to replay")
-    extra_profiles = _parse_cell_profiles(args.cells)
-    if not extra_profiles:
+    extra_cells = _extra_cells(args, cell.name)
+    if not extra_cells:
         return result, None
     corpora = {cell.name: (result.tasks, result.labels)}
-    for k, profile in enumerate(extra_profiles):
-        extra_cell = generate_cell(profile, scale=0.02,
-                                   seed=args.seed + 10 + k, days=3,
-                                   tasks_per_day=400)
-        extra_result = build_step_datasets(extra_cell)
-        if not extra_result.tasks:
-            raise SystemExit(f"profile {profile} produced no constrained "
-                             f"tasks to replay")
-        cell_id = extra_cell.name
-        if cell_id in corpora:
-            cell_id = f"{cell_id}#{k + 1}"
+    for _k, cell_id, extra_result in extra_cells:
         corpora[cell_id] = (extra_result.tasks, extra_result.labels)
     return result, corpora
 
@@ -551,8 +542,7 @@ def _cmd_serve(args) -> int:
         print(f"{cell.name}: serving {model.features_count}-feature model "
               f"(registry spans {result.registry.features_count}); corpus "
               f"of {len(result.tasks):,} constrained tasks "
-              f"({args.workers} worker(s), "
-              f"{'compiled fast path' if args.compile else 'eager'})")
+              f"({args.workers} worker(s))")
         with target:
             report = _run_load(args, target, result, corpora)
         print(report)

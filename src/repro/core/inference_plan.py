@@ -345,4 +345,4 @@ def _flatten(module, layers: list, activations: list) -> None:
         return
     raise PlanCompileError(
         f"cannot fuse {type(module).__name__}: no compiled equivalent "
-        f"(serve it with compile=False)")
+        f"(publication falls back to the eager path)")

@@ -4,35 +4,40 @@ The production counterpart of the simulated Figure 3 loop: a
 thread-safe, hot-swappable model slot (:class:`ModelHandle`) that
 publishes ``(model, compiled InferencePlan)`` pairs atomically, a
 sharded microbatching request queue (:class:`MicroBatcher`) serving
-batches sparse-end-to-end through the fused plan (eager ``Module``
-fallback via ``compile=False``), a background trainer that retrains as
-constraint vocabulary grows (:class:`BackgroundTrainer`), cell-aware
-backpressure and batch autotuning (:class:`AdmissionController`,
-:class:`AutoTuner`), the :class:`ClassificationService` facade
-composing them, a multi-cell dispatch layer owning one stack per
+batches sparse-end-to-end through the fused plan (plan-less models
+serve on the eager ``align`` + ``predict`` path), a background trainer
+that retrains as constraint vocabulary grows
+(:class:`BackgroundTrainer`), cell-aware backpressure and batch
+autotuning (:class:`AdmissionController`, :class:`AutoTuner`), the
+:class:`ClassificationService` facade composing them under one frozen
+:class:`CellConfig`, a multi-cell dispatch layer owning one stack per
 computing cell (:class:`CellRouter`), and an open-loop
 :class:`LoadGenerator` measuring throughput, tail latency, and
 shed/accept rates.
 
 Quickstart::
 
-    from repro.serve import ClassificationService, LoadGenerator
+    from repro.serve import CellConfig, ClassificationService, LoadGenerator
 
     service = ClassificationService(model, result.registry,
-                                    n_workers=4).start()
+                                    CellConfig(n_workers=4)).start()
     report = LoadGenerator(service, result.tasks, result.labels,
                            rate=5000, duration_s=5,
                            observe_every=4).run()
     service.close()
     print(report)
 
-Multi-cell::
+Multi-cell (a per-cell override is a ``dataclasses.replace`` of the
+router's config)::
 
-    from repro.serve import CellRouter, LoadGenerator
+    from dataclasses import replace
 
-    router = CellRouter(n_workers=2)
+    from repro.serve import CellConfig, CellRouter, LoadGenerator
+
+    router = CellRouter(CellConfig(n_workers=2))
     router.add_cell("2019a", model_a, registry_a)
-    router.add_cell("2019c", model_c, registry_c)
+    router.add_cell("2019c", model_c, registry_c,
+                    replace(router.config, latency_budget_ms=20.0))
     with router:
         report = LoadGenerator(
             router, corpora={"2019a": (tasks_a, labels_a),
@@ -52,7 +57,7 @@ from .persistence import (AsyncCheckpointer, CellCheckpoint,
 from .rollout import (ROLLBACK_SIGNALS, OfferOutcome, ReplayRing,
                       RolloutController, RolloutPolicy, ShadowVerdict)
 from .router import CellRouter
-from .service import ClassificationService
+from .service import CellConfig, ClassificationService
 from .supervise import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                         CircuitBreaker, Supervisor)
 from .telemetry import (EventLog, HistogramSnapshot, ServeEvent,
@@ -67,7 +72,7 @@ __all__ = [
     "OfferOutcome", "ShadowVerdict", "ROLLBACK_SIGNALS",
     "AdmissionController", "AutoTuner", "SHED_POLICIES",
     "BackgroundTrainer", "ServeUpdate",
-    "ClassificationService",
+    "CellConfig", "ClassificationService",
     "CellRouter",
     "LoadGenerator", "LoadTestReport", "arrival_offsets",
     "LatencyStats", "ServiceStats", "RouterStats",

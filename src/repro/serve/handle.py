@@ -109,16 +109,15 @@ class ModelHandle:
     one weight copy per publication).  ``retain_history=None`` keeps
     everything.
 
-    With ``compile=True`` (default) every publication also exports the
-    model's fused :class:`~repro.core.InferencePlan` when the model
-    supports it (duck-typed on a ``compile(model_version=...)``
-    method); plain-``predict`` doubles publish with ``plan=None``.
+    Every publication also exports the model's fused
+    :class:`~repro.core.InferencePlan` when the model supports it
+    (duck-typed on a ``compile(model_version=...)`` method); plan-less
+    models publish with ``plan=None`` and serve on the eager path.
     """
 
     def __init__(self, model: object | None = None,
                  features_count: int | None = None,
                  retain_history: int | None = 32,
-                 compile: bool = True,
                  telemetry=None,
                  base_version: int = 0):
         if retain_history is not None and retain_history < 1:
@@ -138,7 +137,6 @@ class ModelHandle:
         self._candidate: CandidateRoute | None = None  # guarded-by: _lock
         self._base_version = base_version
         self.retain_history = retain_history
-        self.compile = compile
         #: Optional post-publication hook (``hook(snapshot)``), invoked
         #: outside the lock after every publish/promote — the durability
         #: layer's async-checkpoint trigger.  Exceptions are logged,
@@ -156,69 +154,29 @@ class ModelHandle:
     # writer side
     # ------------------------------------------------------------------
     def publish(self, model: object, features_count: int | None = None,
-                clone: bool = True,
-                compile: bool | None = None) -> ModelSnapshot:
+                clone: bool = True) -> ModelSnapshot:
         """Atomically swap the served model; returns the new snapshot.
 
         With ``clone=True`` (the default) the model is copied via its
         ``clone()`` method — a checkpoint round-trip for
         :class:`~repro.core.GrowingModel` — so the caller keeps a
         private, still-trainable instance.  ``features_count`` defaults
-        to the model's own ``features_count`` attribute.  ``compile``
-        overrides the handle-wide default for this publication; the
-        plan (if any) is stamped with the new snapshot's version under
-        the publication lock, so ``(model, plan)`` always swap as one.
+        to the model's own ``features_count`` attribute.  The plan (if
+        any) is stamped with the new snapshot's version under the
+        publication lock, so ``(model, plan)`` always swap as one.
         """
 
         start_ns = time.perf_counter_ns()
-        if clone:
-            cloner = getattr(model, "clone", None)
-            if cloner is None:
-                raise TypeError(
-                    f"{type(model).__name__} has no clone(); publish with "
-                    f"clone=False if sharing the instance is intended")
-            model = cloner()
-        if features_count is None:
-            features_count = getattr(model, "features_count", None)
-        if features_count is None:
-            raise ValueError("features_count required for models that do "
-                             "not expose one (is the model trained?)")
-        if compile is None:
-            compile = self.compile
-        compiler = getattr(model, "compile", None) if compile else None
+        model, features_count = self._prepare(model, features_count, clone)
         with self._lock:
-            self._published += 1
-            plan = None
-            if compiler is not None:
-                try:
-                    plan = compiler(model_version=self._published)
-                except Exception:  # noqa: BLE001 — eager fallback
-                    # An uncompilable model (unsupported module, or a
-                    # duck-typed double whose unrelated compile() chokes
-                    # on our signature) must not fail the publication —
-                    # and must never kill a background trainer's
-                    # publish — it just serves eagerly.
-                    logger.warning(
-                        "could not compile %s for v%d; serving eagerly",
-                        type(model).__name__, self._published,
-                        exc_info=True)
+            snapshot = self._record(model, features_count)
             previous = self._active
-            snapshot = ModelSnapshot(
-                version=self._published, model=model,
-                features_count=int(features_count),
-                published_at=time.monotonic(), plan=plan,
-                published_unix=time.time())
-            self._history.append(snapshot)
             self._active = snapshot
             # A direct publish supersedes any in-flight canary: the new
             # active model invalidates the comparisons the candidate was
             # being judged on, so the experiment is abandoned (its
             # snapshot stays in history for audits).
             self._candidate = None
-            if self.retain_history is not None:
-                while len(self._history) > self.retain_history:
-                    self._history.pop(0)
-                    self._evicted += 1
         telemetry = self.telemetry
         if telemetry is not None:
             publish_us = (time.perf_counter_ns() - start_ns) / 1e3
@@ -229,14 +187,14 @@ class ModelHandle:
             telemetry.events.append(
                 "publish", version=snapshot.version,
                 staleness_closed_s=round(staleness_closed_s, 6),
-                compiled=plan is not None,
+                compiled=snapshot.plan is not None,
                 publish_us=round(publish_us, 3))
         self._notify_publish(snapshot)
         return snapshot
 
     def stage(self, model: object, fraction: float,
-              features_count: int | None = None, clone: bool = True,
-              compile: bool | None = None) -> ModelSnapshot:
+              features_count: int | None = None,
+              clone: bool = True) -> ModelSnapshot:
         """Stage a candidate next to the incumbent for canary traffic.
 
         The candidate gets a real (monotone) version number and is
@@ -250,11 +208,22 @@ class ModelHandle:
 
         if not 0.0 < fraction <= 1.0:
             raise ValueError("canary fraction must be in (0, 1]")
+        model, features_count = self._prepare(model, features_count, clone)
+        with self._lock:
+            snapshot = self._record(model, features_count)
+            self._candidate = CandidateRoute(snapshot, float(fraction))
+        return snapshot
+
+    @staticmethod
+    def _prepare(model: object, features_count: int | None,
+                 clone: bool) -> tuple[object, int]:
+        """The private copy to serve and its input width."""
+
         if clone:
             cloner = getattr(model, "clone", None)
             if cloner is None:
                 raise TypeError(
-                    f"{type(model).__name__} has no clone(); stage with "
+                    f"{type(model).__name__} has no clone(); pass "
                     f"clone=False if sharing the instance is intended")
             model = cloner()
         if features_count is None:
@@ -262,31 +231,37 @@ class ModelHandle:
         if features_count is None:
             raise ValueError("features_count required for models that do "
                              "not expose one (is the model trained?)")
-        if compile is None:
-            compile = self.compile
-        compiler = getattr(model, "compile", None) if compile else None
-        with self._lock:
-            self._published += 1
-            plan = None
-            if compiler is not None:
-                try:
-                    plan = compiler(model_version=self._published)
-                except Exception:  # noqa: BLE001 — eager fallback
-                    logger.warning(
-                        "could not compile candidate %s for v%d; canary "
-                        "serves eagerly", type(model).__name__,
-                        self._published, exc_info=True)
-            snapshot = ModelSnapshot(
-                version=self._published, model=model,
-                features_count=int(features_count),
-                published_at=time.monotonic(), plan=plan,
-                published_unix=time.time())
-            self._history.append(snapshot)
-            self._candidate = CandidateRoute(snapshot, float(fraction))
-            if self.retain_history is not None:
-                while len(self._history) > self.retain_history:
-                    self._history.pop(0)
-                    self._evicted += 1
+        return model, int(features_count)
+
+    def _record(self, model: object, features_count: int) -> ModelSnapshot:
+        # requires-lock: _lock
+        """Number, compile and retain one new version."""
+
+        self._published += 1
+        plan = None
+        compiler = getattr(model, "compile", None)
+        if compiler is not None:
+            try:
+                plan = compiler(model_version=self._published)
+            except Exception:  # noqa: BLE001 — eager fallback
+                # An uncompilable model (unsupported module, or a
+                # duck-typed double whose unrelated compile() chokes on
+                # our signature) must not fail the publication — and
+                # must never kill a background trainer's publish — it
+                # just serves eagerly.
+                logger.warning(
+                    "could not compile %s for v%d; serving eagerly",
+                    type(model).__name__, self._published, exc_info=True)
+        snapshot = ModelSnapshot(
+            version=self._published, model=model,
+            features_count=features_count,
+            published_at=time.monotonic(), plan=plan,
+            published_unix=time.time())
+        self._history.append(snapshot)
+        if self.retain_history is not None:
+            while len(self._history) > self.retain_history:
+                self._history.pop(0)
+                self._evicted += 1
         return snapshot
 
     def promote(self) -> ModelSnapshot:

@@ -20,15 +20,14 @@ itself, not across shards), takes whole batches, and keeps per-shard
 counters that :meth:`MicroBatcher.counters` merges under ``stats_lock``
 with the aggregate view.
 
-Compiled fast path: with ``compile=True`` (default) a worker serves
-each batch through its snapshot's fused
-:class:`~repro.core.InferencePlan` — the CO-VV block stays CSR into
-the first GEMM (no ``toarray()``, no dense ``align`` copy) and the
+Compiled fast path: a worker serves each batch through its snapshot's
+fused :class:`~repro.core.InferencePlan` — the CO-VV block stays CSR
+into the first GEMM (no ``toarray()``, no dense ``align`` copy) and the
 dense layers run ``np.dot(..., out=)`` into a per-shard
 :class:`~repro.core.PlanScratch` rebuilt only when a hot-swap installs
-a new plan.  Snapshots without a plan (duck-typed doubles, or
-``compile=False``) fall back to the eager ``align`` + ``predict``
-path, which doubles as the fast path's equivalence oracle.
+a new plan.  Snapshots without a plan (plan-less models such as
+duck-typed doubles) serve on the eager ``align`` + ``predict`` path,
+which doubles as the fast path's equivalence oracle in the tests.
 
 Overload: an optional :class:`~repro.serve.AdmissionController` gates
 :meth:`MicroBatcher.submit` — arrivals that would blow the cell's
@@ -167,7 +166,6 @@ class MicroBatcher:
                  n_workers: int = 1,
                  admission: AdmissionController | None = None,
                  autotuner: AutoTuner | None = None,
-                 compile: bool = True,
                  telemetry=None,
                  rollout=None):
         """``registry_lock`` must be shared with whatever grows the
@@ -182,10 +180,6 @@ class MicroBatcher:
         ``autotuner`` takes ownership of ``max_batch`` / ``max_wait_us``
         — the constructor values then only seed the pre-first-arrival
         state, and workers re-read both attributes every wakeup.
-
-        ``compile=False`` forces every batch down the eager
-        ``align`` + ``predict`` path even when snapshots carry a
-        compiled plan (the equivalence-oracle mode).
 
         ``telemetry`` (a :class:`~repro.serve.telemetry.Telemetry` with
         at least ``n_workers`` shards) turns on stage timing: producers
@@ -214,7 +208,6 @@ class MicroBatcher:
         self.n_workers = n_workers
         self.admission = admission
         self.autotuner = autotuner
-        self.compile = compile
         if telemetry is not None and telemetry.n_shards < n_workers:
             raise ValueError(
                 f"telemetry has {telemetry.n_shards} shard timing slots "
@@ -703,7 +696,7 @@ class MicroBatcher:
             with self.registry_lock:
                 X = encoder.encode_rows([r.task for r in batch])
             assembled_ns = time.perf_counter_ns()
-            plan = snapshot.plan if self.compile else None
+            plan = snapshot.plan
             if plan is not None:
                 # Fast path: CSR straight into the fused plan.  The
                 # scratch is rebuilt when the plan changed — comparing
@@ -807,7 +800,7 @@ class MicroBatcher:
             return None
         candidate = route.snapshot
         Xc = X[idx]
-        cand_plan = candidate.plan if self.compile else None
+        cand_plan = candidate.plan
         cand_conf = inc_conf = 0.0
         conf_n = 0
         if cand_plan is not None:

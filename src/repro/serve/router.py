@@ -12,9 +12,10 @@ that routes ``submit(cell_id, task)`` to the owning stack.
 
 Isolation is the point: hot-swaps, registry growth, and retraining stay
 per-cell, so one cell's model update can never misroute or stall
-another cell's task stream.  Cells are registered up front (e.g. from
-trace-profile deployments via :meth:`CellRouter.from_deployments`) or
-dynamically on a live router (:meth:`CellRouter.add_cell`).
+another cell's task stream.  Cells are registered with
+:meth:`CellRouter.add_cell`, before :meth:`~CellRouter.start` or on a
+live router.  Every cell serves with the router's
+:class:`~repro.serve.CellConfig` unless it is given its own.
 """
 
 from __future__ import annotations
@@ -32,18 +33,12 @@ from ..datasets.registry import FeatureRegistry
 from ..errors import (CircuitOpenError, OverloadedError, ServiceClosedError,
                       UnknownCellError)
 from ..sim.online import RetrainPolicy
-from .admission import SHED_POLICIES
 from .handle import ModelSnapshot
 from .metrics import RouterStats
 from .microbatch import ClassifyRequest
-from .rollout import RolloutPolicy
-from .service import ClassificationService
+from .service import CellConfig, ClassificationService
 
 __all__ = ["CellRouter"]
-
-# add_cell override sentinel: None is meaningful ("no budget"), so
-# "inherit the router default" needs its own marker.
-_INHERIT = object()
 
 _CELL_ID_UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -67,172 +62,58 @@ class CellRouter(AbstractContextManager):
 
     Parameters
     ----------
-    n_workers / max_batch / max_wait_us:
-        Defaults for every cell's :class:`~repro.serve.MicroBatcher`;
-        :meth:`add_cell` can override them per cell.
-    latency_budget_ms / max_queue / shed_policy / autotune / compile /
-    fused_train / rollout / warm_start:
-        Admission-control, autotuning, compiled-fast-path,
-        fused-retraining, staged-rollout, and warm-start defaults
-        applied to every cell (see
-        :class:`~repro.serve.ClassificationService`);
-        :meth:`add_cell` can override them per cell, so a small cell
-        can run a tighter budget than a large one (or serve / retrain
-        eagerly next to compiled cells, or canary only where traffic
-        is heavy enough to judge a window).
+    config:
+        The router-wide :class:`~repro.serve.CellConfig` every cell
+        serves with unless :meth:`add_cell` is given its own — written
+        ``dataclasses.replace(router.config, ...)``, so a small cell can
+        run a tighter budget than a large one, or canary only where
+        traffic is heavy enough to judge a window.  With
+        ``supervise=True`` a sick cell fails fast with
+        :class:`~repro.errors.CircuitOpenError` while its neighbours
+        keep serving.
     state_dir:
         Durability root: every cell checkpoints into (and
         warm-restores from) its own subdirectory
         ``<state_dir>/<sanitized cell id>``, so cells never share
         checkpoint files.
-    supervise:
-        Start a per-cell :class:`~repro.serve.Supervisor` + circuit
-        breaker in every cell (overridable per :meth:`add_cell`); a
-        sick cell then fails fast with
-        :class:`~repro.errors.CircuitOpenError` while its neighbours
-        keep serving.
     """
 
-    def __init__(self, n_workers: int = 1, max_batch: int = 64,
-                 max_wait_us: int = 500,
-                 latency_budget_ms: float | None = None,
-                 max_queue: int | None = None,
-                 shed_policy: str = "reject",
-                 autotune: bool = False,
-                 compile: bool = True,
-                 fused_train: bool = True,
-                 rollout: RolloutPolicy | None = None,
-                 warm_start: bool = True,
-                 state_dir: str | None = None,
-                 supervise: bool = False):
-        # Fail at construction, not at the first add_cell: a typo'd
-        # router-wide policy would otherwise sit latent until a cell
-        # joins.
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(f"shed_policy must be one of {SHED_POLICIES}")
-        self.n_workers = n_workers
-        self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
-        self.latency_budget_ms = latency_budget_ms
-        self.max_queue = max_queue
-        self.shed_policy = shed_policy
-        self.autotune = autotune
-        self.compile = compile
-        self.fused_train = fused_train
-        self.rollout = rollout
-        self.warm_start = warm_start
+    def __init__(self, config: CellConfig = CellConfig(),
+                 state_dir: str | None = None):
+        self.config = config
         self.state_dir = state_dir
-        self.supervise = supervise
         self._services: dict[str, ClassificationService] = {}  # guarded-by: _lock
         self._lock = new_lock("CellRouter._lock")
         self._started = False  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
-    @classmethod
-    def from_deployments(cls, deployments: dict[str, tuple[object,
-                                                           FeatureRegistry]],
-                         n_workers: int = 1, max_batch: int = 64,
-                         max_wait_us: int = 500, trainer: bool = False,
-                         latency_budget_ms: float | None = None,
-                         max_queue: int | None = None,
-                         shed_policy: str = "reject",
-                         autotune: bool = False,
-                         compile: bool = True,
-                         fused_train: bool = True,
-                         rollout: RolloutPolicy | None = None,
-                         warm_start: bool = True,
-                         state_dir: str | None = None,
-                         supervise: bool = False,
-                         **cell_kwargs) -> "CellRouter":
-        """Declare cells up front from ``{cell_id: (model, registry)}``.
-
-        The usual source is one trained model + pipeline registry per
-        trace profile; extra keyword arguments (``policy``, ``rng``,
-        ...) are passed to every :meth:`add_cell`.
-        """
-
-        router = cls(n_workers=n_workers, max_batch=max_batch,
-                     max_wait_us=max_wait_us,
-                     latency_budget_ms=latency_budget_ms,
-                     max_queue=max_queue, shed_policy=shed_policy,
-                     autotune=autotune, compile=compile,
-                     fused_train=fused_train, rollout=rollout,
-                     warm_start=warm_start, state_dir=state_dir,
-                     supervise=supervise)
-        for cell_id, (model, registry) in deployments.items():
-            router.add_cell(cell_id, model, registry, trainer=trainer,
-                            **cell_kwargs)
-        return router
-
     # ------------------------------------------------------------------
     # cell registry
     # ------------------------------------------------------------------
     def add_cell(self, cell_id: str, model: object,
-                 registry: FeatureRegistry, *,
-                 n_workers: int | None = None,
-                 max_batch: int | None = None,
-                 max_wait_us: int | None = None,
+                 registry: FeatureRegistry,
+                 config: CellConfig | None = None, *,
                  trainer: bool = False,
                  policy: RetrainPolicy | None = None,
                  features_count: int | None = None,
-                 latency_budget_ms: float | None | object = _INHERIT,
-                 max_queue: int | None | object = _INHERIT,
-                 shed_policy: str | object = _INHERIT,
-                 autotune: bool | object = _INHERIT,
-                 compile: bool | object = _INHERIT,
-                 fused_train: bool | object = _INHERIT,
-                 rollout: RolloutPolicy | None | object = _INHERIT,
-                 warm_start: bool | object = _INHERIT,
-                 supervise: bool | object = _INHERIT,
                  rng: np.random.Generator | None = None
                  ) -> ClassificationService:
         """Register one cell's stack; on a started router it goes live
         immediately (dynamic registration).
 
-        ``latency_budget_ms`` / ``max_queue`` / ``shed_policy`` /
-        ``autotune`` / ``compile`` / ``fused_train`` / ``rollout`` /
-        ``warm_start`` / ``supervise`` default to the router-wide
-        settings; pass an explicit value (including ``None``, to
-        disable a budget or a cell's staged rollout) to override per
-        cell.  With a router ``state_dir`` the cell checkpoints into
-        ``<state_dir>/<sanitized cell id>`` — and warm-restores from
-        it right here, before the first request is routed.
+        ``config=None`` serves the cell with the router's config.  With
+        a router ``state_dir`` the cell checkpoints into
+        ``<state_dir>/<sanitized cell id>`` — and warm-restores from it
+        right here, before the first request is routed.
         """
 
-        if latency_budget_ms is _INHERIT:
-            latency_budget_ms = self.latency_budget_ms
-        if max_queue is _INHERIT:
-            max_queue = self.max_queue
-        if shed_policy is _INHERIT:
-            shed_policy = self.shed_policy
-        if autotune is _INHERIT:
-            autotune = self.autotune
-        if compile is _INHERIT:
-            compile = self.compile
-        if fused_train is _INHERIT:
-            fused_train = self.fused_train
-        if rollout is _INHERIT:
-            rollout = self.rollout
-        if warm_start is _INHERIT:
-            warm_start = self.warm_start
-        if supervise is _INHERIT:
-            supervise = self.supervise
         cell_state_dir = (None if self.state_dir is None
                           else str(Path(self.state_dir)
                                    / _sanitize_cell_id(cell_id)))
         service = ClassificationService(
-            model, registry,
-            max_batch=self.max_batch if max_batch is None else max_batch,
-            max_wait_us=(self.max_wait_us if max_wait_us is None
-                         else max_wait_us),
-            n_workers=self.n_workers if n_workers is None else n_workers,
-            trainer=trainer, policy=policy,
-            features_count=features_count,
-            latency_budget_ms=latency_budget_ms, max_queue=max_queue,
-            shed_policy=shed_policy, autotune=autotune, compile=compile,
-            fused_train=fused_train, rollout=rollout,
-            warm_start=warm_start, state_dir=cell_state_dir,
-            supervise=supervise, rng=rng)
+            model, registry, self.config if config is None else config,
+            trainer=trainer, policy=policy, features_count=features_count,
+            state_dir=cell_state_dir, rng=rng)
         if service.breaker is not None:
             # The breaker's error message and telemetry name the cell.
             service.breaker.name = cell_id

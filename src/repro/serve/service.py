@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import AbstractContextManager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +41,30 @@ from .supervise import CircuitBreaker, Supervisor
 from .telemetry import Telemetry
 from .trainer import BackgroundTrainer
 
-__all__ = ["ClassificationService"]
+__all__ = ["CellConfig", "ClassificationService"]
+
+#: Checkpoints kept on disk per cell (older ones are pruned).
+CHECKPOINT_RETAIN = 5
+#: Rollout replay-ring tail (tasks and labelled pairs) bundled into each
+#: checkpoint, so a warm restart can shadow-score its next candidate.
+CHECKPOINT_REPLAY_TAIL = 1024
 
 
-class ClassificationService(AbstractContextManager):
-    """Serve group predictions for arriving constrained tasks.
+@dataclass(frozen=True, slots=True)
+class CellConfig:
+    """Every setting of one cell's serving stack, in one frozen value.
 
-    Parameters
-    ----------
-    model:
-        The initially-deployed model (anything with ``predict``;
-        a trained :class:`~repro.core.GrowingModel` in production).
-    registry:
-        The CO-VV feature registry the model was trained against; grows
-        in place as :meth:`observe` sees new vocabulary.
+    A :class:`ClassificationService` takes one; a
+    :class:`~repro.serve.CellRouter` holds a router-wide one and gives
+    it to every cell, and a per-cell override is written
+    ``dataclasses.replace(router.config, max_queue=8)``.
+
     max_batch / max_wait_us:
-        Microbatching knobs: classify as soon as ``max_batch`` requests
-        are queued, or when the oldest has waited ``max_wait_us``.
+        Microbatching: classify as soon as ``max_batch`` requests are
+        queued, or when the oldest has waited ``max_wait_us``.
     n_workers:
         Batcher worker shards draining the shared request queue (each
         with a private encoder; see :class:`~repro.serve.MicroBatcher`).
-    trainer:
-        ``True`` (default) starts the background retrainer with
-        ``policy``; ``False`` serves the initial model forever (hot-swap
-        still possible via :meth:`publish`).
     latency_budget_ms / max_queue / shed_policy:
         Admission control: when a budget or hard queue cap is set,
         arrivals that would blow it are shed with
@@ -74,17 +75,6 @@ class ClassificationService(AbstractContextManager):
         Continuously re-fit the microbatch size / wait to the observed
         arrival rate; ``max_batch`` / ``max_wait_us`` then act as the
         tuner's caps rather than fixed settings.
-    compile:
-        ``True`` (default) publishes every model together with its
-        fused :class:`~repro.core.InferencePlan` and serves batches
-        through it (sparse end-to-end, no autograd);
-        ``False`` keeps everything on the eager ``Module`` path — the
-        fallback and the fast path's equivalence oracle.
-    fused_train:
-        ``True`` (default) retrains through the compiled
-        :class:`~repro.core.TrainPlan` (fused backprop on the
-        CSR-kept observation matrix — the training-side mirror of
-        ``compile``); ``False`` keeps the eager autograd loop.
     rollout:
         A :class:`~repro.serve.RolloutPolicy` turns on the staged
         rollout control plane: the trainer's retrained candidates are
@@ -92,49 +82,77 @@ class ClassificationService(AbstractContextManager):
         canaried on a hash-split fraction of requests, and promoted or
         auto-rolled-back on the policy's regression gates.  ``None``
         (default) keeps publication a direct swap.
-    warm_start:
-        ``True`` (default) lets the background trainer resume the
-        previous retrain's Adam optimizer state each cycle, shrinking
-        the trigger→publish staleness window.
-    state_dir / checkpoint_retain / checkpoint_replay_tail:
-        ``state_dir`` turns on the durability plane: the newest valid
-        checkpoint under it is warm-restored at construction (the cell
-        serves immediately at its restored model version — version
-        numbers stay monotone across restarts), every publish schedules
-        an off-path checkpoint via :class:`~repro.serve.persistence.
+    supervise:
+        Start a :class:`~repro.serve.Supervisor` watchdog
+        (wedged-worker detection, trainer restart with backoff,
+        crash-loop suspension into degraded mode) wired to a
+        :class:`~repro.serve.CircuitBreaker`.
+    """
+
+    max_batch: int = 64
+    max_wait_us: int = 500
+    n_workers: int = 1
+    latency_budget_ms: float | None = None
+    max_queue: int | None = None
+    shed_policy: str = "reject"
+    autotune: bool = False
+    rollout: RolloutPolicy | None = None
+    supervise: bool = False
+
+    def __post_init__(self) -> None:
+        if self.shed_policy not in SHED_POLICIES:
+            raise ValueError(f"shed_policy must be one of {SHED_POLICIES}")
+        if (self.shed_policy != "reject" and self.latency_budget_ms is None
+                and self.max_queue is None):
+            raise ValueError(
+                f"shed_policy={self.shed_policy!r} needs a latency budget "
+                f"or queue cap to act on — without one it would silently "
+                f"never shed")
+
+
+class ClassificationService(AbstractContextManager):
+    """Serve group predictions for arriving constrained tasks.
+
+    Parameters
+    ----------
+    model:
+        The initially-deployed model (anything with ``predict``;
+        a trained :class:`~repro.core.GrowingModel` in production).
+        Models that compile to an :class:`~repro.core.InferencePlan`
+        serve through it; plan-less models serve on the eager
+        ``align`` + ``predict`` path.
+    registry:
+        The CO-VV feature registry the model was trained against; grows
+        in place as :meth:`observe` sees new vocabulary.
+    config:
+        The cell's :class:`CellConfig` (batching, workers, admission,
+        autotuning, staged rollout, supervision).
+    trainer:
+        ``True`` (default) starts the background retrainer with
+        ``policy``; ``False`` serves the initial model forever (hot-swap
+        still possible via :meth:`publish`).  Retrains resume the
+        previous cycle's Adam state.
+    state_dir:
+        Turns on the durability plane: the newest valid checkpoint
+        under it is warm-restored at construction (the cell serves
+        immediately at its restored model version — version numbers
+        stay monotone across restarts), every publish schedules an
+        off-path checkpoint via :class:`~repro.serve.persistence.
         AsyncCheckpointer`, and :meth:`close` flushes a final one.
-        ``checkpoint_retain`` bounds on-disk history;
-        ``checkpoint_replay_tail`` bounds the rollout replay tail
-        bundled into each checkpoint.
-    supervise / breaker:
-        ``supervise=True`` starts a :class:`~repro.serve.Supervisor`
-        watchdog (wedged-worker detection, trainer restart with
-        backoff, crash-loop suspension into degraded mode) wired to a
-        :class:`~repro.serve.CircuitBreaker` (created with defaults
-        unless an explicit ``breaker`` is given).  A ``breaker`` alone
-        (without ``supervise``) gates :meth:`submit` on error rate
-        only.
+    breaker:
+        An explicit :class:`~repro.serve.CircuitBreaker` gates
+        :meth:`submit` on error rate; with ``config.supervise`` and no
+        breaker, one is created with defaults.
     """
 
     def __init__(self, model: object, registry: FeatureRegistry,
-                 max_batch: int = 64, max_wait_us: int = 500,
-                 n_workers: int = 1,
+                 config: CellConfig = CellConfig(), *,
                  trainer: bool = True, policy: RetrainPolicy | None = None,
                  features_count: int | None = None,
-                 latency_budget_ms: float | None = None,
-                 max_queue: int | None = None,
-                 shed_policy: str = "reject",
-                 autotune: bool = False,
-                 compile: bool = True,
-                 fused_train: bool = True,
-                 rollout: RolloutPolicy | None = None,
-                 warm_start: bool = True,
                  state_dir: str | None = None,
-                 checkpoint_retain: int = 5,
-                 checkpoint_replay_tail: int = 1024,
-                 supervise: bool = False,
                  breaker: CircuitBreaker | None = None,
                  rng: np.random.Generator | None = None):
+        self.config = config
         self.registry = registry
         # Durable-state plane: restore the newest valid checkpoint (if
         # any) *before* the handle exists, so the initial publication
@@ -142,11 +160,10 @@ class ClassificationService(AbstractContextManager):
         # cold model is superseded by the trained one from disk.
         self.store: CheckpointStore | None = None
         self.checkpointer: AsyncCheckpointer | None = None
-        self._checkpoint_replay_tail = checkpoint_replay_tail
         self._restored_version = 0
         restored = None
         if state_dir is not None:
-            self.store = CheckpointStore(state_dir, retain=checkpoint_retain)
+            self.store = CheckpointStore(state_dir, retain=CHECKPOINT_RETAIN)
             restored = self.store.load_latest()
         if restored is not None and restored.model_bytes is not None:
             registry.restore(restored.registry_features)
@@ -161,9 +178,8 @@ class ClassificationService(AbstractContextManager):
         clone = isinstance(model, GrowingModel)
         # The telemetry plane exists before anything that reports into
         # it: the initial publication below is already event #1.
-        self.telemetry = Telemetry(n_shards=n_workers)
-        self.handle = ModelHandle(compile=compile,
-                                  telemetry=self.telemetry,
+        self.telemetry = Telemetry(n_shards=config.n_workers)
+        self.handle = ModelHandle(telemetry=self.telemetry,
                                   base_version=max(
                                       0, self._restored_version - 1))
         self.handle.publish(model, features_count=features_count,
@@ -171,43 +187,35 @@ class ClassificationService(AbstractContextManager):
         # One lock serializes registry growth (observe path) against the
         # batcher's and trainer's encoders — see MicroBatcher's docstring.
         registry_lock = new_lock("ClassificationService.registry_lock")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(f"shed_policy must be one of {SHED_POLICIES}")
-        if (shed_policy != "reject" and latency_budget_ms is None
-                and max_queue is None):
-            raise ValueError(
-                f"shed_policy={shed_policy!r} needs a latency budget or "
-                f"queue cap to act on — without one it would silently "
-                f"never shed")
         self.autotuner: AutoTuner | None = None
-        if autotune:
+        if config.autotune:
             self.autotuner = AutoTuner(
-                max_batch=max_batch,
-                min_wait_us=min(50, max_wait_us),
-                max_wait_us=max_wait_us)
+                max_batch=config.max_batch,
+                min_wait_us=min(50, config.max_wait_us),
+                max_wait_us=config.max_wait_us)
         self.admission: AdmissionController | None = None
-        if latency_budget_ms is not None or max_queue is not None:
+        if (config.latency_budget_ms is not None
+                or config.max_queue is not None):
             # Share the tuner's arrival estimator when both watch the
             # same stream; the batcher then feeds only the tuner.
             self.admission = AdmissionController(
-                latency_budget_ms=latency_budget_ms, policy=shed_policy,
-                max_queue=max_queue,
+                latency_budget_ms=config.latency_budget_ms,
+                policy=config.shed_policy, max_queue=config.max_queue,
                 arrivals=(None if self.autotuner is None
                           else self.autotuner.arrivals))
         self.rollout: RolloutController | None = None
-        if rollout is not None:
+        if config.rollout is not None:
             self.rollout = RolloutController(self.handle, registry,
                                              registry_lock=registry_lock,
-                                             policy=rollout,
+                                             policy=config.rollout,
                                              telemetry=self.telemetry)
         self.batcher = MicroBatcher(self.handle, registry,
-                                    max_batch=max_batch,
-                                    max_wait_us=max_wait_us,
+                                    max_batch=config.max_batch,
+                                    max_wait_us=config.max_wait_us,
                                     registry_lock=registry_lock,
-                                    n_workers=n_workers,
+                                    n_workers=config.n_workers,
                                     admission=self.admission,
                                     autotuner=self.autotuner,
-                                    compile=compile,
                                     telemetry=self.telemetry,
                                     rollout=self.rollout)
         self.trainer: BackgroundTrainer | None = None
@@ -215,10 +223,8 @@ class ClassificationService(AbstractContextManager):
             self.trainer = BackgroundTrainer(self.handle, registry,
                                              policy=policy,
                                              registry_lock=registry_lock,
-                                             fused=fused_train,
                                              telemetry=self.telemetry,
                                              rollout=self.rollout,
-                                             warm_start=warm_start,
                                              rng=rng)
         if restored is not None:
             # Warm-start continuity: the trainer resumes the restored
@@ -242,11 +248,11 @@ class ClassificationService(AbstractContextManager):
                                                   telemetry=self.telemetry)
             self.handle.on_publish = self._on_publish
         # Self-healing plane: an explicit breaker gates submissions on
-        # error rate; supervise=True adds the watchdog (and a default
+        # error rate; config.supervise adds the watchdog (and a default
         # breaker when none was given).
         self.breaker: CircuitBreaker | None = breaker
         self.supervisor: Supervisor | None = None
-        if supervise:
+        if config.supervise:
             if self.breaker is None:
                 self.breaker = CircuitBreaker(rng=rng,
                                               telemetry=self.telemetry)
@@ -313,10 +319,10 @@ class ClassificationService(AbstractContextManager):
             self.trainer.stop()
         self.batcher.stop(drain=drain)
         if self.checkpointer is not None:
-            try:
-                self.checkpointer.flush()
-            finally:
-                self.checkpointer.stop()
+            # Stop the background writer first: a save of an older
+            # version still in flight must not land after the final one.
+            self.checkpointer.stop()
+            self.checkpointer.flush()
 
     def __enter__(self) -> "ClassificationService":
         return self.start() if not self._started else self  # unguarded-ok: convenience check; start() re-checks under _state_lock
@@ -458,7 +464,7 @@ class ClassificationService(AbstractContextManager):
         replay_tasks: tuple[CompactedTask, ...] = ()
         replay_labeled: tuple[tuple[CompactedTask, int], ...] = ()
         if self.rollout is not None:
-            tail = self._checkpoint_replay_tail
+            tail = CHECKPOINT_REPLAY_TAIL
             ring = self.rollout.ring
             replay_tasks = tuple(ring.sample()[-tail:])
             labeled_tasks, labels = ring.labeled()

@@ -43,6 +43,26 @@ class ConstantModel:
         return ConstantModel(self.value, self.features_count)
 
 
+class PlanlessModel:
+    """A model served without an inference plan: the eager oracle.
+
+    Delegates ``predict`` and ``features_count`` to the wrapped model
+    and has no ``compile``, so every publication of it carries
+    ``plan=None`` and batches take the eager ``align`` + ``predict``
+    path that the compiled fast path is checked against.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    @property
+    def features_count(self):
+        return self.model.features_count
+
+    def predict(self, X):
+        return self.model.predict(X)
+
+
 class WsgiResponse:
     """One reply from :class:`WsgiClient`."""
 
@@ -97,10 +117,14 @@ class WsgiClient:
         return self.open("POST", path, **kwargs)
 
 
-
 @pytest.fixture()
 def constant_model():
     return ConstantModel
+
+
+@pytest.fixture()
+def planless():
+    return PlanlessModel
 
 
 @pytest.fixture(scope="session")

@@ -4,14 +4,16 @@ with zero misroutes and trainer warm-start continuity."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.datasets import COVVEncoder
-from repro.serve import (CellCheckpoint, CellRouter, CheckpointStore,
-                         CircuitBreaker, ClassificationService)
+from repro.serve import (CellCheckpoint, CellConfig, CellRouter,
+                         CheckpointStore, CircuitBreaker,
+                         ClassificationService)
 from repro.errors import CircuitOpenError
 
 from .test_supervise import ZeroJitter
@@ -69,6 +71,39 @@ class TestWarmRestart:
             second.publish(model)
             assert second.model_version == served_version + 1
             assert second.stats().restored_version == served_version
+
+    def test_close_lands_the_final_checkpoint_last(self, serve_setup,
+                                                   tmp_path):
+        """A background save of an older version still in flight when
+        close() runs must not land after close()'s final checkpoint."""
+
+        model, result = serve_setup
+        service = ClassificationService(model, result.registry,
+                                        trainer=False,
+                                        state_dir=str(tmp_path))
+        store = service.store
+        save, entered, gate = store.save, threading.Event(), threading.Event()
+
+        def held_background_save(checkpoint):
+            if (threading.current_thread().name
+                    == "repro-serve-checkpointer" and not gate.is_set()):
+                entered.set()
+                gate.wait(10)
+            return save(checkpoint)
+
+        store.save = held_background_save
+        service.start()  # the cold-start checkpoint of v1 is held
+        try:
+            assert entered.wait(5), "background writer never saved"
+            service.publish(model)  # v2
+            closer = threading.Thread(target=service.close)
+            closer.start()
+            time.sleep(0.1)
+        finally:
+            gate.set()
+        closer.join(10)
+        assert not closer.is_alive()
+        assert CheckpointStore(tmp_path).load_latest().version == 2
 
     def test_recovery_without_graceful_flush(self, serve_setup, tmp_path):
         """A kill -9 never calls close(): recovery must work from the
@@ -198,7 +233,7 @@ class TestRouterRecovery:
 
     def test_tripped_cell_fails_fast_neighbours_serve(self, serve_setup):
         model, result = serve_setup
-        router = CellRouter(supervise=True)
+        router = CellRouter(CellConfig(supervise=True))
         router.add_cell("sick", model, result.registry)
         router.add_cell("healthy", model, result.registry.__class__())
         with router:

@@ -4,18 +4,20 @@ The invariant under test: a worker batch is always served by a plan
 compiled from *exactly* the model version its snapshot carries — under
 hot-swap storms, registry growth, and mixed compiled/eager stacks —
 and the fast path's predictions are indistinguishable from the eager
-oracle's.
+oracle's (a plan-less wrapper around the same model).
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import BENCH_CONFIG, GrowingModel
-from repro.serve import ClassificationService, MicroBatcher, ModelHandle
+from repro.serve import (CellConfig, ClassificationService, MicroBatcher,
+                         ModelHandle)
 
 
 class TestPublishCompiles:
@@ -29,13 +31,6 @@ class TestPublishCompiles:
             assert snap.plan.model_version == snap.version
             assert snap.plan.features_count == snap.features_count
         assert snap1.plan is not snap2.plan
-
-    def test_compile_false_handle_publishes_plan_none(self, serve_setup):
-        model, _result = serve_setup
-        handle = ModelHandle(compile=False)
-        assert handle.publish(model).plan is None
-        # Per-publish override wins over the handle default.
-        assert handle.publish(model, compile=True).plan is not None
 
     def test_plain_model_publishes_plan_none(self, constant_model):
         handle = ModelHandle()
@@ -67,7 +62,7 @@ class TestPublishCompiles:
 
 
 class TestCompiledService:
-    def test_compiled_matches_eager_oracle(self, serve_setup):
+    def test_compiled_matches_eager_oracle(self, serve_setup, planless):
         """Same tasks through a compiled and an eager stack: identical
         predictions, and the counters prove which path served them."""
 
@@ -76,9 +71,9 @@ class TestCompiledService:
         groups: dict[bool, list[int]] = {}
         counters: dict[bool, object] = {}
         for compiled in (True, False):
-            service = ClassificationService(model, result.registry,
-                                            max_batch=32, max_wait_us=200,
-                                            trainer=False, compile=compiled)
+            service = ClassificationService(
+                model if compiled else planless(model), result.registry,
+                CellConfig(max_batch=32, max_wait_us=200), trainer=False)
             with service:
                 requests = [service.submit(task) for task in tasks]
                 groups[compiled] = [r.result(5) for r in requests]
@@ -89,15 +84,13 @@ class TestCompiledService:
         assert counters[False].batches > 0
 
     def test_plain_model_falls_back_to_eager(self, constant_model,
-                                             serve_setup):
-        """compile=True with a duck-typed double: served eagerly."""
+                                             planless, serve_setup):
+        """A model with no compile(): served eagerly."""
 
         _model, result = serve_setup
         width = result.registry.features_count
-        service = ClassificationService(constant_model(5, width),
-                                        result.registry,
-                                        features_count=width,
-                                        trainer=False, compile=True)
+        service = ClassificationService(planless(constant_model(5, width)),
+                                        result.registry, trainer=False)
         with service:
             assert service.classify(result.tasks[0]).result(5) == 5
         stats = service.stats()
@@ -164,7 +157,8 @@ class TestSwapStorm:
 
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        max_batch=8, max_wait_us=100,
+                                        CellConfig(max_batch=8,
+                                                   max_wait_us=100),
                                         trainer=False)
         with service:
             first = [service.submit(t) for t in result.tasks[:40]]
@@ -183,17 +177,17 @@ class TestSwapStorm:
         assert stats.compiled_batches == stats.batches > 0
 
 
-class TestBatcherCompileFlag:
-    def test_compile_false_ignores_available_plans(self, serve_setup):
-        """The oracle mode: snapshots carry plans, the batcher must not
-        touch them."""
+class TestBatcherEagerPath:
+    def test_planless_snapshot_serves_eagerly(self, serve_setup, planless):
+        """The oracle path: a snapshot without a plan keeps every batch
+        on ``align`` + ``predict``."""
 
         model, result = serve_setup
         handle = ModelHandle()
-        snap = handle.publish(model)
-        assert snap.plan is not None
+        snap = handle.publish(planless(model), clone=False)
+        assert snap.plan is None
         batcher = MicroBatcher(handle, result.registry, max_batch=16,
-                               max_wait_us=100, compile=False).start()
+                               max_wait_us=100).start()
         try:
             requests = [batcher.submit(t) for t in result.tasks[:50]]
             for request in requests:
@@ -205,27 +199,26 @@ class TestBatcherCompileFlag:
         assert counters["completed"] == 50
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_router_cells_can_mix_paths(serve_setup, compiled):
-    """Per-cell compile override: one compiled cell next to the
-    router-wide default."""
+@pytest.mark.parametrize("router_capped", [True, False])
+def test_router_cells_can_mix_paths(serve_setup, router_capped):
+    """Per-cell override: one cell's config differs from the router's
+    (a queue cap added, or taken away), and only the capped cell runs
+    admission control."""
 
     from repro.serve import CellRouter
 
     model, result = serve_setup
-    router = CellRouter(max_batch=16, max_wait_us=100, compile=compiled)
+    router = CellRouter(CellConfig(max_batch=16, max_wait_us=100,
+                                   max_queue=8 if router_capped else None))
     router.add_cell("default", model, result.registry)
     router.add_cell("override", model, result.registry,
-                    compile=not compiled)
+                    replace(router.config,
+                            max_queue=None if router_capped else 8))
     with router:
         for cell in ("default", "override"):
             request = router.classify(cell, result.tasks[0], timeout=5)
             assert request.ok
-    stats = router.stats()
-    for cell, expect_compiled in (("default", compiled),
-                                  ("override", not compiled)):
-        cell_stats = stats.cells[cell]
-        if expect_compiled:
-            assert cell_stats.compiled_batches == cell_stats.batches > 0
-        else:
-            assert cell_stats.compiled_batches == 0
+    capped = "default" if router_capped else "override"
+    assert list(router.admission_snapshots()) == [capped]
+    assert router.admission_snapshots()[capped]["max_queue"] == 8
+    assert router.service(capped).config.max_queue == 8

@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (CellRouter, ClassificationService, HttpIngress,
-                         LoadGenerator, create_app)
+from repro.serve import (CellConfig, CellRouter, ClassificationService,
+                         HttpIngress, LoadGenerator, create_app)
 
 from .conftest import WsgiClient
 from .faults import SlowModel, kill_trainer
@@ -31,7 +31,7 @@ def http_service(pipeline_result, constant_model):
     width = pipeline_result.registry.features_count
     service = ClassificationService(
         constant_model(2, width), pipeline_result.registry,
-        trainer=False, max_wait_us=200).start()
+        CellConfig(max_wait_us=200), trainer=False).start()
     yield service, pipeline_result.tasks
     service.close()
 
@@ -125,8 +125,9 @@ class TestOverloadMapping:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             SlowModel(constant_model(0, width), 0.05),
-            pipeline_result.registry, trainer=False, max_batch=8,
-            max_wait_us=100, max_queue=4).start()
+            pipeline_result.registry,
+            CellConfig(max_batch=8, max_wait_us=100, max_queue=4),
+            trainer=False).start()
         try:
             from repro.errors import OverloadedError
 
@@ -201,7 +202,7 @@ class TestHealthz:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             constant_model(0, width), pipeline_result.registry,
-            trainer=False, max_queue=16).start()
+            CellConfig(max_queue=16), trainer=False).start()
         try:
             body = WsgiClient(create_app(service)).get(
                 "/healthz").get_json()
@@ -243,7 +244,7 @@ class TestRouterApp:
     def router_client(self, pipeline_result, constant_model):
         registry = pipeline_result.registry
         width = registry.features_count
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         router.add_cell("cell-a", constant_model(0, width), registry)
         router.add_cell("cell-b", constant_model(1, width), registry)
         router.start()
@@ -283,7 +284,7 @@ class TestRealSocket:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             constant_model(1, width), pipeline_result.registry,
-            trainer=False, max_wait_us=200).start()
+            CellConfig(max_wait_us=200), trainer=False).start()
         try:
             with HttpIngress(service, port=0) as ingress:
                 report = LoadGenerator(
@@ -303,7 +304,7 @@ class TestRealSocket:
                                                 constant_model):
         registry = pipeline_result.registry
         width = registry.features_count
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         router.add_cell("cell-a", constant_model(0, width), registry)
         router.add_cell("cell-b", constant_model(1, width), registry)
         corpora = {

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.errors import OverloadedError
-from repro.serve import (ClassificationService, HttpIngress,
+from repro.serve import (CellConfig, ClassificationService, HttpIngress,
                          LoadGenerator, create_app)
 
 from .conftest import WsgiClient
@@ -35,7 +35,7 @@ def http_service(pipeline_result, constant_model):
     width = pipeline_result.registry.features_count
     service = ClassificationService(
         constant_model(2, width), pipeline_result.registry,
-        trainer=False, max_wait_us=200).start()
+        CellConfig(max_wait_us=200), trainer=False).start()
     yield service, pipeline_result.tasks
     service.close()
 
@@ -72,8 +72,8 @@ class TestBatchedClassify:
 
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        trainer=False,
-                                        max_wait_us=200).start()
+                                        CellConfig(max_wait_us=200),
+                                        trainer=False).start()
         try:
             test_client = WsgiClient(create_app(service))
             sample = result.tasks[:32]
@@ -121,8 +121,9 @@ class TestBatchedClassify:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             SlowModel(constant_model(0, width), 0.05),
-            pipeline_result.registry, trainer=False, max_batch=8,
-            max_wait_us=100, max_queue=4).start()
+            pipeline_result.registry,
+            CellConfig(max_batch=8, max_wait_us=100, max_queue=4),
+            trainer=False).start()
         try:
             test_client = WsgiClient(create_app(service))
             for _ in range(40):
@@ -173,8 +174,8 @@ class Test504CancelOrAccount:
         width = pipeline_result.registry.features_count
         slow = SlowModel(constant_model(0, width), 0.4)
         service = ClassificationService(
-            slow, pipeline_result.registry, trainer=False, max_batch=1,
-            max_wait_us=100).start()
+            slow, pipeline_result.registry,
+            CellConfig(max_batch=1, max_wait_us=100), trainer=False).start()
         try:
             test_client = WsgiClient(create_app(service))
             # Occupy the single worker for ~0.4s...
@@ -199,8 +200,8 @@ class Test504CancelOrAccount:
         width = pipeline_result.registry.features_count
         slow = SlowModel(constant_model(0, width), 0.4)
         service = ClassificationService(
-            slow, pipeline_result.registry, trainer=False, max_batch=1,
-            max_wait_us=100).start()
+            slow, pipeline_result.registry,
+            CellConfig(max_batch=1, max_wait_us=100), trainer=False).start()
         try:
             test_client = WsgiClient(create_app(service))
             # The worker is idle, so the request is taken within the
@@ -305,7 +306,7 @@ class TestMultiListener:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             constant_model(1, width), pipeline_result.registry,
-            trainer=False, max_wait_us=200).start()
+            CellConfig(max_wait_us=200), trainer=False).start()
         try:
             with HttpIngress(service, port=0,
                              n_listeners=2) as ingress:

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import (CellRouter, ClassificationService, LoadGenerator,
-                         arrival_offsets)
+from repro.serve import (CellConfig, CellRouter, ClassificationService,
+                         LoadGenerator, arrival_offsets)
 
 
 class TestSchedules:
@@ -121,7 +121,8 @@ class TestRun:
     def test_report_shape_and_json(self, serve_setup):
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        max_wait_us=200, trainer=False)
+                                        CellConfig(max_wait_us=200),
+                                        trainer=False)
         with service:
             report = LoadGenerator(
                 service, result.tasks, result.labels, rate=800,
@@ -148,7 +149,7 @@ class TestRun:
         width = registry.features_count
         tasks = pipeline_result.tasks
         labels = np.zeros(len(tasks), dtype=np.int64)
-        router = CellRouter(max_wait_us=200, n_workers=2)
+        router = CellRouter(CellConfig(max_wait_us=200, n_workers=2))
         router.add_cell("east", constant_model(0, width), registry)
         router.add_cell("west", constant_model(1, width), registry)
         with router:
@@ -182,7 +183,7 @@ class TestRun:
         width = registry.features_count
         tasks = pipeline_result.tasks
         labels = np.asarray([i % 3 for i in range(len(tasks))], np.int64)
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         policy = RetrainPolicy(growth_threshold=10 ** 6,
                                min_observations=10 ** 6)
         router.add_cell("east", constant_model(0, width), registry,
@@ -207,7 +208,8 @@ class TestRun:
 
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        max_batch=64, max_wait_us=500,
+                                        CellConfig(max_batch=64,
+                                                   max_wait_us=500),
                                         trainer=False)
         with service:
             report = LoadGenerator(

@@ -11,11 +11,12 @@ overloaded.
 from __future__ import annotations
 
 import time
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.errors import OverloadedError, ServiceError
-from repro.serve import (AdmissionController, AutoTuner,
+from repro.serve import (AdmissionController, AutoTuner, CellConfig,
                          ClassificationService, MicroBatcher, ModelHandle)
 
 from .faults import FailingEncoder, SlowModel, StallGate, assert_exactly_once
@@ -50,8 +51,9 @@ def slow_service_factory(pipeline_result, constant_model):
     def build(delay_s=0.05, max_batch=8, **kwargs):
         service = ClassificationService(
             SlowModel(constant_model(0, width), delay_s),
-            pipeline_result.registry, max_batch=max_batch,
-            max_wait_us=100, trainer=False, **kwargs)
+            pipeline_result.registry,
+            CellConfig(max_batch=max_batch, max_wait_us=100, **kwargs),
+            trainer=False)
         built.append(service)
         return service.start()
 
@@ -276,8 +278,10 @@ class TestFaultIsolation:
         registry = pipeline_result.registry
         width = registry.features_count
         gate = StallGate(constant_model(0, width))
-        service = ClassificationService(gate, registry, max_batch=4,
-                                        max_wait_us=100, n_workers=2,
+        service = ClassificationService(gate, registry,
+                                        CellConfig(max_batch=4,
+                                                   max_wait_us=100,
+                                                   n_workers=2),
                                         trainer=False).start()
         try:
             gate.stall()
@@ -316,30 +320,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="alpha"):
             AutoTuner(alpha=0.0)
 
-    def test_policy_without_any_limit_is_rejected(self, pipeline_result,
-                                                  constant_model):
-        from repro.serve import CellRouter
-
-        width = pipeline_result.registry.features_count
+    def test_policy_without_any_limit_is_rejected(self):
         # A non-default policy with nothing to act on would silently
         # never shed — refuse the configuration instead.
         with pytest.raises(ValueError, match="needs a latency budget"):
-            ClassificationService(constant_model(0, width),
-                                  pipeline_result.registry, trainer=False,
-                                  shed_policy="drop-oldest")
+            CellConfig(shed_policy="drop-oldest")
         with pytest.raises(ValueError, match="shed_policy"):
-            ClassificationService(constant_model(0, width),
-                                  pipeline_result.registry, trainer=False,
-                                  shed_policy="tail-drop")
+            CellConfig(shed_policy="tail-drop")
+        # A per-cell override is checked like a fresh config.
         with pytest.raises(ValueError, match="shed_policy"):
-            CellRouter(shed_policy="tail-drop")
+            replace(CellConfig(), shed_policy="tail-drop")
+
+    def test_cell_config_is_frozen(self):
+        config = CellConfig(max_queue=8)
+        with pytest.raises(FrozenInstanceError):
+            config.max_queue = 16
+        assert config.max_queue == 8
 
     def test_service_wires_admission_and_tuner(self, pipeline_result,
                                                constant_model):
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             constant_model(0, width), pipeline_result.registry,
-            trainer=False, latency_budget_ms=25.0, autotune=True)
+            CellConfig(latency_budget_ms=25.0, autotune=True), trainer=False)
         assert service.admission is service.batcher.admission
         assert service.autotuner is service.batcher.autotuner
         # One arrival stream, one estimator: the controller borrows the

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (CandidateRoute, ClassificationService, ModelHandle,
-                         ReplayRing, RolloutController, RolloutPolicy,
-                         Telemetry, render_prometheus)
+from repro.serve import (CandidateRoute, CellConfig, ClassificationService,
+                         ModelHandle, ReplayRing, RolloutController,
+                         RolloutPolicy, Telemetry, render_prometheus)
 from repro.sim import RetrainPolicy
 
 from .conftest import WsgiClient
@@ -255,9 +255,10 @@ def rollout_service(serve_setup):
     policy = RolloutPolicy(canary_fraction=0.5, shadow_window=256,
                            min_shadow=16, canary_window=32,
                            promote_after=1, min_labeled=8)
-    service = ClassificationService(model, result.registry, trainer=False,
-                                    rollout=policy, n_workers=2,
-                                    max_batch=16, max_wait_us=200).start()
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(rollout=policy, n_workers=2,
+                                               max_batch=16, max_wait_us=200),
+                                    trainer=False).start()
     yield service, model, result
     service.close()
 
@@ -358,9 +359,10 @@ class TestCanaryLifecycle:
         policy = RolloutPolicy(canary_fraction=0.5, shadow_window=256,
                                min_shadow=16, canary_window=10**6)
         service = ClassificationService(model, result.registry,
-                                        trainer=False, rollout=policy,
-                                        n_workers=2, max_batch=16,
-                                        max_wait_us=200).start()
+                                        CellConfig(rollout=policy, n_workers=2,
+                                                   max_batch=16,
+                                                   max_wait_us=200),
+                                        trainer=False).start()
         try:
             self._warm_up(service, result)
             outcome = service.rollout.offer(model.clone())
@@ -597,9 +599,10 @@ class TestCanarySoak:
                                min_shadow=16, canary_window=32,
                                min_labeled=8)
         service = ClassificationService(model, result.registry,
-                                        trainer=False, rollout=policy,
-                                        n_workers=2, max_batch=16,
-                                        max_wait_us=200).start()
+                                        CellConfig(rollout=policy, n_workers=2,
+                                                   max_batch=16,
+                                                   max_wait_us=200),
+                                        trainer=False).start()
         try:
             for task in result.tasks[:64]:
                 assert service.submit(task).wait(10.0)

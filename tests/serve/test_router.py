@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import (ServiceClosedError, ServiceError,
                           UnknownCellError)
-from repro.serve import CellRouter, RouterStats
+from repro.serve import CellConfig, CellRouter, RouterStats
 
 
 @pytest.fixture()
@@ -16,7 +16,7 @@ def two_cell_router(pipeline_result, constant_model):
 
     registry = pipeline_result.registry
     width = registry.features_count
-    router = CellRouter(max_wait_us=200)
+    router = CellRouter(CellConfig(max_wait_us=200))
     router.add_cell("cell-a", constant_model(0, width), registry)
     router.add_cell("cell-b", constant_model(1, width), registry)
     yield router, pipeline_result.tasks, width
@@ -54,17 +54,6 @@ class TestRegistry:
         request = router.classify("cell-c", tasks[0], timeout=5)
         assert request.ok and request.group == 7
         assert request.cell == "cell-c"
-
-    def test_from_deployments(self, pipeline_result, constant_model):
-        registry = pipeline_result.registry
-        width = registry.features_count
-        router = CellRouter.from_deployments(
-            {"a": (constant_model(3, width), registry),
-             "b": (constant_model(4, width), registry)},
-            max_wait_us=200)
-        with router:
-            assert router.classify("a", pipeline_result.tasks[0]).group == 3
-            assert router.classify("b", pipeline_result.tasks[0]).group == 4
 
 
 class TestDispatch:
@@ -140,7 +129,7 @@ class TestLifecycle:
     def test_submit_after_close_raises(self, pipeline_result,
                                        constant_model):
         registry = pipeline_result.registry
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         router.add_cell("a", constant_model(0, registry.features_count),
                         registry)
         router.start()
@@ -156,7 +145,7 @@ class TestLifecycle:
     def test_close_drains_accepted_requests(self, pipeline_result,
                                             constant_model):
         registry = pipeline_result.registry
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         router.add_cell("a", constant_model(0, registry.features_count),
                         registry)
         with router:
@@ -167,7 +156,7 @@ class TestLifecycle:
     def test_context_manager_round_trip(self, pipeline_result,
                                         constant_model):
         registry = pipeline_result.registry
-        router = CellRouter(max_wait_us=200)
+        router = CellRouter(CellConfig(max_wait_us=200))
         router.add_cell("a", constant_model(2, registry.features_count),
                         registry)
         with router as entered:

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from repro.datasets import COVVEncoder
-from repro.serve import ClassificationService
+from repro.serve import CellConfig, ClassificationService
 
 
 @pytest.fixture()
 def service(serve_setup):
     model, result = serve_setup
-    service = ClassificationService(model, result.registry, max_batch=32,
-                                    max_wait_us=200, trainer=False)
+    service = ClassificationService(model, result.registry,
+                                    CellConfig(max_batch=32, max_wait_us=200),
+                                    trainer=False)
     with service:
         yield service
 
@@ -75,7 +76,8 @@ class TestHotSwap:
             np.linspace(2.0, -2.0, 26).astype(np.float32)
 
         service = ClassificationService(model, result.registry,
-                                        max_batch=32, max_wait_us=200,
+                                        CellConfig(max_batch=32,
+                                                   max_wait_us=200),
                                         trainer=False)
         with service:
             requests = []
@@ -151,7 +153,7 @@ class TestConcurrentVocabularyGrowth:
         width = registry.features_count
 
         service = ClassificationService(
-            constant_model(1, width), registry, max_wait_us=200,
+            constant_model(1, width), registry, CellConfig(max_wait_us=200),
             trainer=True,
             policy=RetrainPolicy(growth_threshold=10**6,
                                  min_observations=1))

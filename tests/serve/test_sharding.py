@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.serve import ClassificationService, MicroBatcher, ModelHandle
+from repro.serve import (CellConfig, ClassificationService, MicroBatcher,
+                         ModelHandle)
 
 
 @pytest.fixture()
@@ -114,8 +115,10 @@ class TestStatsHotSwapRace:
         registry = pipeline_result.registry
         width = registry.features_count
         service = ClassificationService(constant_model(0, width), registry,
-                                        max_batch=8, max_wait_us=100,
-                                        trainer=False, n_workers=2)
+                                        CellConfig(max_batch=8,
+                                                   max_wait_us=100,
+                                                   n_workers=2),
+                                        trainer=False)
         tasks = pipeline_result.tasks
         stop = threading.Event()
         errors: list[Exception] = []
@@ -169,8 +172,9 @@ class TestServiceSharding:
     def test_service_exposes_shard_stats(self, serve_setup):
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        max_wait_us=200, trainer=False,
-                                        n_workers=3)
+                                        CellConfig(max_wait_us=200,
+                                                   n_workers=3),
+                                        trainer=False)
         with service:
             for task in result.tasks[:90]:
                 service.submit(task)

@@ -20,7 +20,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import CellRouter, LoadGenerator
+from repro.serve import CellConfig, CellRouter, LoadGenerator
 
 from .faults import SlowModel
 
@@ -100,8 +100,8 @@ def test_soak_multicell_bursty_overload(pipeline_result, constant_model):
     tasks = pipeline_result.tasks
     labels = np.zeros(len(tasks), dtype=np.int64)
 
-    router = CellRouter(n_workers=2, max_batch=64, max_wait_us=5000,
-                        latency_budget_ms=25.0, autotune=True)
+    router = CellRouter(CellConfig(n_workers=2, max_batch=64, max_wait_us=5000,
+                                   latency_budget_ms=25.0, autotune=True))
     # Distinct constant predictions per cell keep the misroute audit
     # sharp: any cross-cell leak flips the predicted group.
     for i, cell in enumerate(("east", "west", "north")):

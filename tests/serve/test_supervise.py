@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import CircuitOpenError
 from repro.serve import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
-                         CircuitBreaker, ClassificationService, Supervisor)
+                         CellConfig, CircuitBreaker, ClassificationService,
+                         Supervisor)
 from repro.sim import RetrainPolicy
 
 from .conftest import WsgiClient
@@ -129,8 +130,9 @@ def stalled_service(serve_setup):
     gate = StallGate(model)
     breaker = CircuitBreaker(name="cell-under-test", min_samples=2,
                              backoff_s=30.0, rng=ZeroJitter())
-    service = ClassificationService(gate, result.registry, max_batch=8,
-                                    max_wait_us=200, n_workers=2,
+    service = ClassificationService(gate, result.registry,
+                                    CellConfig(max_batch=8, max_wait_us=200,
+                                               n_workers=2),
                                     trainer=False, breaker=breaker)
     with service:
         yield service, gate, breaker, result
@@ -260,7 +262,8 @@ class TestSupervisorTrainer:
     def test_supervised_service_reports_stats(self, serve_setup):
         model, result = serve_setup
         service = ClassificationService(model, result.registry,
-                                        trainer=False, supervise=True)
+                                        CellConfig(supervise=True),
+                                        trainer=False)
         with service:
             assert service.supervisor is not None
             assert service.supervisor.alive

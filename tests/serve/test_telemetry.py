@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    CellConfig,
     ClassificationService,
     EventLog,
     StageTimings,
@@ -201,7 +202,8 @@ class TestServiceWiring:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             constant_model(1, width), pipeline_result.registry,
-            trainer=False, n_workers=2, max_batch=8, max_wait_us=100)
+            CellConfig(n_workers=2, max_batch=8, max_wait_us=100),
+            trainer=False)
         tasks = pipeline_result.tasks
         with service:
             for i in range(60):
@@ -244,8 +246,9 @@ class TestServiceWiring:
         width = pipeline_result.registry.features_count
         service = ClassificationService(
             SlowModel(constant_model(0, width), 0.05),
-            pipeline_result.registry, trainer=False, max_batch=8,
-            max_wait_us=100, max_queue=6).start()
+            pipeline_result.registry,
+            CellConfig(max_batch=8, max_wait_us=100, max_queue=6),
+            trainer=False).start()
         tasks = pipeline_result.tasks
         shed = 0
         for i in range(120):

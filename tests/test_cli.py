@@ -223,6 +223,31 @@ class TestCommands:
         assert sum(payload["per_cell"].values()) == payload["n_completed"]
         assert payload["swaps"] == 2  # one forced swap per cell
 
+    def test_wire_loadtest_addresses_the_served_cell_ids(self,
+                                                          archived_cell):
+        """``loadtest --url --cells`` must name its corpora exactly as
+        ``serve --cells`` registered the cells — same ids, same order,
+        including the ``#k`` suffix of a repeated profile."""
+
+        from repro.cli import _corpora_setup, _serving_setup
+
+        cells = ["--cells", "2019d,2019d", "--train-steps", "2",
+                 "--seed", "1", "--no-trainer"]
+        serve_args = build_parser().parse_args(
+            ["serve", str(archived_cell), *cells])
+        _cell, _result, _model, router, served = _serving_setup(serve_args)
+        router.close()
+        load_args = build_parser().parse_args(
+            ["loadtest", str(archived_cell), *cells,
+             "--url", "http://127.0.0.1:9"])
+        _result, corpora = _corpora_setup(load_args)
+        assert list(corpora) == list(router.cells) == list(served)
+        assert list(corpora) == ["clusterdata-2019a", "clusterdata-2019d",
+                                 "clusterdata-2019d#2"]
+        for cell_id, (tasks, labels) in served.items():
+            assert corpora[cell_id][0] == tasks
+            assert list(corpora[cell_id][1]) == list(labels)
+
     def test_loadtest_url_drives_a_live_ingress(self, archived_cell,
                                                 capsys):
         """``loadtest --url`` replays the archive's corpus over the wire
